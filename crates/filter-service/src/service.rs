@@ -996,16 +996,19 @@ impl<B: ServiceBackend> WorkerConfig<B> {
             // Mutation runs advance the cache epoch *before* any later
             // query run in this same flush resolves, so a verdict cached
             // under the pre-mutation backend can never answer a query
-            // sequenced after the mutation.
+            // sequenced after the mutation. The bump also precedes the
+            // run's acks: a caller that sees its mutation acknowledged
+            // sees the invalidation in the stats too. (Only this worker
+            // touches the cache, so nothing can refill it in between.)
             match kind {
                 KIND_INSERT => {
-                    self.flush_inserts(keys, run.drain(..));
                     self.invalidate_cache();
+                    self.flush_inserts(keys, run.drain(..));
                 }
                 KIND_QUERY => self.flush_queries(keys, run.drain(..), q),
                 _ => {
-                    self.flush_deletes(keys, run.drain(..));
                     self.invalidate_cache();
+                    self.flush_deletes(keys, run.drain(..));
                 }
             }
         }

@@ -174,11 +174,17 @@ impl GpuBuffer {
         crate::shadow::record(self.shadow_id, slot, slot + 1, true);
         let (word, off) = self.locate(slot);
         let mask = self.mask() << off;
-        let v = (value << off) & mask;
+        self.store_bits(word, mask, (value << off) & mask);
+    }
+
+    /// Replace the `mask` bits of backing word `word` with `bits`, keeping
+    /// every other bit (slots owned by concurrent neighbours) intact.
+    #[inline]
+    fn store_bits(&self, word: usize, mask: u64, bits: u64) {
         let w = &self.words[word];
         let mut cur = w.load(Ordering::Relaxed);
         loop {
-            let next = (cur & !mask) | v;
+            let next = (cur & !mask) | bits;
             match w.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return,
                 Err(actual) => cur = actual,
@@ -307,19 +313,115 @@ impl GpuBuffer {
         SpanView { base_slot: start, first_word: w0, words, buf: self }
     }
 
+    /// Cooperatively load slots `[start, start + out.len())` and decode
+    /// them into `out`: [`Self::load_span`] for a kernel that works on the
+    /// unpacked slots (the bulk TCF's shared-memory block image). Counts
+    /// the same one line load per distinct cache line, but reads each
+    /// backing word once, straight into `out`, with no staged copy and no
+    /// per-slot division.
+    pub fn load_span_into(&self, start: usize, out: &mut [u64]) {
+        let end = start + out.len();
+        assert!(
+            end <= self.len || out.is_empty(),
+            "span {start}..{end} out of bounds {}",
+            self.len
+        );
+        crate::shadow::record(self.shadow_id, start, end, false);
+        if out.is_empty() {
+            return;
+        }
+        let bits = self.elem_bits;
+        let per_word = self.slots_per_word;
+        let mask = self.mask();
+        let (w0, w1) = (start / per_word, (end - 1) / per_word);
+        bump(Counter::LinesLoaded, (w1 / WORDS_PER_LINE - w0 / WORDS_PER_LINE + 1) as u64);
+        let unpack = |out: &mut [u64], word: u64| {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = (word >> (i as u32 * bits)) & mask;
+            }
+        };
+
+        let (mut word, lane0) = (w0, start % per_word);
+        let mut out = out;
+        if lane0 != 0 {
+            let (head, rest) = out.split_at_mut((per_word - lane0).min(out.len()));
+            unpack(head, self.words[word].load(Ordering::Acquire) >> (lane0 as u32 * bits));
+            word += 1;
+            out = rest;
+        }
+        let mut whole = out.chunks_exact_mut(per_word);
+        for chunk in &mut whole {
+            unpack(chunk, self.words[word].load(Ordering::Acquire));
+            word += 1;
+        }
+        let tail = whole.into_remainder();
+        if !tail.is_empty() {
+            unpack(tail, self.words[word].load(Ordering::Acquire));
+        }
+    }
+
     /// Coalesced write of `values` into slots `[start, start + values.len())`.
     /// Counts one line store per distinct line (the 128-byte cache-wide
     /// coalesced write of the bulk TCF).
+    ///
+    /// Precondition: the caller owns every slot of the span for the
+    /// duration of the write (one block, one owning worker), so no other
+    /// thread writes those slots concurrently. The store is word-granular:
+    /// each backing word the span fully covers is packed and published
+    /// with one plain store; only the partial edge words the span shares
+    /// with neighbouring slots (e.g. 12-bit slots, 5 per word, where a
+    /// 128-slot block does not end on a word boundary) take a
+    /// read-modify-write that preserves the neighbours' bits. Values are
+    /// truncated to the slot width.
     pub fn write_span_coalesced(&self, start: usize, values: &[u64]) {
         if values.is_empty() {
             return;
         }
-        let (w0, _) = self.locate(start);
-        let (w1, _) = self.locate(start + values.len() - 1);
-        let lines = w1 / WORDS_PER_LINE - w0 / WORDS_PER_LINE + 1;
-        bump(Counter::LinesStored, lines as u64);
-        for (i, &v) in values.iter().enumerate() {
-            self.write_free(start + i, v);
+        let end = start + values.len();
+        assert!(end <= self.len, "span {start}..{end} out of bounds {}", self.len);
+        crate::shadow::record(self.shadow_id, start, end, true);
+
+        let bits = self.elem_bits;
+        let per_word = self.slots_per_word;
+        let mask = self.mask();
+        let (w0, w1) = (start / per_word, (end - 1) / per_word);
+        bump(Counter::LinesStored, (w1 / WORDS_PER_LINE - w0 / WORDS_PER_LINE + 1) as u64);
+        // Pack `vals` into one word starting at lane `lane0` (lane 0 is
+        // lowest; `wrapping_shl` only wraps for 64-bit slots, whose
+        // single lane starts from an empty accumulator).
+        let pack = |vals: &[u64], lane0: usize| {
+            vals.iter().rev().fold(0u64, |acc, &v| acc.wrapping_shl(bits) | (v & mask))
+                << (lane0 as u32 * bits)
+        };
+        // A partial word holds fewer than `per_word` of our lanes, so
+        // its field is narrower than 64 bits.
+        let store_partial = |word: usize, vals: &[u64], lane0: usize| {
+            let field = ((1u64 << (vals.len() as u32 * bits)) - 1) << (lane0 as u32 * bits);
+            self.store_bits(word, field, pack(vals, lane0));
+        };
+
+        let (mut word, lane0) = (w0, start % per_word);
+        let mut vals = values;
+        if lane0 != 0 {
+            let (head, rest) = vals.split_at((per_word - lane0).min(vals.len()));
+            store_partial(word, head, lane0);
+            word += 1;
+            vals = rest;
+        }
+        let mut whole = vals.chunks_exact(per_word);
+        for chunk in &mut whole {
+            self.words[word].store(pack(chunk, 0), Ordering::Release);
+            word += 1;
+        }
+        let tail = whole.remainder();
+        if !tail.is_empty() {
+            if end == self.len {
+                // The buffer's last word: the slots past `len` are
+                // dead, so the span owns every live slot of it.
+                self.words[word].store(pack(tail, 0), Ordering::Release);
+            } else {
+                store_partial(word, tail, 0);
+            }
         }
     }
 
@@ -623,6 +725,36 @@ mod tests {
         let view = buf.load_span(10, 40);
         for i in 10..50 {
             assert_eq!(view.get(i), i as u64 * 3);
+        }
+    }
+
+    #[test]
+    fn decoded_span_load_matches_staged_view() {
+        // Every width, unaligned starts and both edge cases of a span
+        // (mid-word head, buffer-end tail): same slots, same line count.
+        for bits in 1u32..=64 {
+            let buf = GpuBuffer::new(300, bits);
+            for i in 0..300 {
+                buf.write_free(i, (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            }
+            for &(start, n) in
+                &[(0usize, 300usize), (1, 17), (7, 128), (131, 169), (299, 1), (5, 0)]
+            {
+                let mut out = vec![u64::MAX; n];
+                let before = metrics::snapshot_current_thread();
+                buf.load_span_into(start, &mut out);
+                let into = metrics::snapshot_current_thread().since(&before);
+                let before = metrics::snapshot_current_thread();
+                let view = buf.load_span(start, n);
+                let staged = metrics::snapshot_current_thread().since(&before);
+                let expect: Vec<u64> = (start..start + n).map(|i| view.get(i)).collect();
+                assert_eq!(out, expect, "bits={bits} start={start} n={n}");
+                assert_eq!(
+                    into.get(Counter::LinesLoaded),
+                    staged.get(Counter::LinesLoaded),
+                    "bits={bits} start={start} n={n}"
+                );
+            }
         }
     }
 

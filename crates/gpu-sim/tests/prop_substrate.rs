@@ -96,15 +96,46 @@ proptest! {
         prop_assert_eq!(hi - lo, count);
     }
 
-    /// Coalesced span writes equal slot-by-slot writes.
+    /// Coalesced span writes equal slot-by-slot writes at every slot width
+    /// and any unaligned span, and leave every slot outside the span (in
+    /// particular the neighbours sharing its edge words) as it was.
     #[test]
-    fn coalesced_write_equals_pointwise(vals in vec(0u64..0x10000, 1..200)) {
-        let a = GpuBuffer::new(vals.len(), 16);
-        let b = GpuBuffer::new(vals.len(), 16);
-        a.write_span_coalesced(0, &vals);
-        for (i, &v) in vals.iter().enumerate() {
-            b.write(i, v);
+    fn coalesced_write_equals_pointwise(
+        len in 1usize..400,
+        span in (any::<usize>(), any::<usize>()),
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for bits in 1u32..=64 {
+            let start = span.0 % len;
+            let n = 1 + span.1 % (len - start);
+            let a = GpuBuffer::new(len, bits);
+            let b = GpuBuffer::new(len, bits);
+            for i in 0..len {
+                let v = next();
+                a.write(i, v);
+                b.write(i, v);
+            }
+            let prior = a.to_vec();
+            // Unmasked values: both paths truncate to the slot width.
+            let vals: Vec<u64> = (0..n).map(|_| next()).collect();
+            a.write_span_coalesced(start, &vals);
+            for (i, &v) in vals.iter().enumerate() {
+                b.write(start + i, v);
+            }
+            let got = a.to_vec();
+            prop_assert_eq!(&got, &b.to_vec(), "bits={} start={} n={}", bits, start, n);
+            for (i, (&g, &p)) in got.iter().zip(&prior).enumerate() {
+                if i < start || i >= start + n {
+                    prop_assert_eq!(g, p, "bits={} slot {} outside {}..{}", bits, i, start, start + n);
+                }
+            }
         }
-        prop_assert_eq!(a.to_vec(), b.to_vec());
     }
 }

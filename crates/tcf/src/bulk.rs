@@ -15,7 +15,14 @@
 //!    backing table.
 //!
 //! Every pass is a region kernel: one thread owns one block, so all block
-//! mutations are exclusive and writes coalesce.
+//! mutations are exclusive and writes coalesce. A kernel decodes its
+//! staged block once into stack arrays (a `BlockImage`; block sizes are
+//! capped at one [`SharedScratch`]), sorts and merges there without heap
+//! allocation, and the write-back is word-granular: every backing word
+//! the block fully covers is published with one plain store, and only the
+//! edge words it shares with a neighbouring block (12-bit fingerprints,
+//! 5 per word) take a masked read-modify-write
+//! ([`GpuBuffer::write_span_coalesced`]).
 //!
 //! Each pass runs the substrate's bulk-synchronous phase pattern —
 //! data-parallel **partition** ([`Device::par_map`] computes every item's
@@ -269,22 +276,24 @@ impl BulkTcf {
             }
 
             // Stage the block (shared-memory copy, one-or-two line loads).
-            let view = self.table.load_span(start, b);
-            let live = Self::prefix_len(&view, start, b);
+            let mut img = BlockImage::stage(&self.table, start, b);
+            let live = img.len;
             if live >= fill_cap {
                 return;
             }
             let take = (fill_cap - live).min(hi - lo);
-            let vals = self.values.as_ref().map(|vb| vb.load_span(start, b));
+            img.stage_values(self.values.as_ref(), start, b);
 
             // Gather + sort the incoming fingerprints in shared memory;
             // values travel with their fingerprint through the sort.
-            let mut scratch = SharedScratch::new(take);
-            let mut incoming: Vec<(u64, u64)> = order_ref[lo..lo + take]
-                .iter()
-                .map(|&(_, idx)| (items[idx as usize].fp, items[idx as usize].val))
-                .collect();
+            let mut incoming = [(EMPTY, 0u64); MAX_BLOCK_SLOTS];
+            let incoming = &mut incoming[..take];
+            for (slot, &(_, idx)) in incoming.iter_mut().zip(&order_ref[lo..lo + take]) {
+                let it = &items[idx as usize];
+                *slot = (it.fp, it.val);
+            }
             incoming.sort_unstable();
+            let mut scratch = SharedScratch::new(take);
             for (j, &(fp, _)) in incoming.iter().enumerate() {
                 scratch.write(j, fp);
             }
@@ -292,48 +301,26 @@ impl BulkTcf {
 
             // Zip-merge block prefix with incoming list (the three-list
             // parallel zip of §4.2 collapses to two lists per pass here).
-            let mut merged = Vec::with_capacity(live + take);
-            let mut merged_vals = Vec::with_capacity(if vals.is_some() { live + take } else { 0 });
-            let stored_val = |i: usize| vals.as_ref().map_or(0, |v| v.get(start + i));
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < live && j < take {
-                let a = view.get(start + i);
-                if a <= incoming[j].0 {
-                    merged.push(a);
-                    if vals.is_some() {
-                        merged_vals.push(stored_val(i));
-                    }
-                    i += 1;
-                } else {
-                    merged.push(incoming[j].0);
-                    if vals.is_some() {
-                        merged_vals.push(incoming[j].1);
-                    }
-                    j += 1;
+            // The merge runs back to front inside the decoded block, so
+            // it needs no second buffer; on equal fingerprints the stored
+            // entry stays first, as in a forward merge.
+            let (mut i, mut k) = (live, live + take);
+            for &(fp, val) in incoming.iter().rev() {
+                while i > 0 && img.fps[i - 1] > fp {
+                    i -= 1;
+                    k -= 1;
+                    img.fps[k] = img.fps[i];
+                    img.vals[k] = img.vals[i];
                 }
+                k -= 1;
+                img.fps[k] = fp;
+                img.vals[k] = val;
             }
-            while i < live {
-                merged.push(view.get(start + i));
-                if vals.is_some() {
-                    merged_vals.push(stored_val(i));
-                }
-                i += 1;
-            }
-            for &(fp, v) in &incoming[j..take] {
-                merged.push(fp);
-                if vals.is_some() {
-                    merged_vals.push(v);
-                }
-            }
-            scratch.charge(merged.len() as u64);
+            img.len = live + take;
+            scratch.charge(img.len as u64);
 
             // Coalesced write-back of the whole block (suffix stays EMPTY).
-            merged.resize(b, EMPTY);
-            self.table.write_span_coalesced(start, &merged);
-            if let Some(vb) = self.values.as_ref() {
-                merged_vals.resize(b, 0);
-                vb.write_span_coalesced(start, &merged_vals);
-            }
+            img.write_back(&self.table, self.values.as_ref(), start, b);
 
             for &(_, idx) in &order_ref[lo..lo + take] {
                 accepted_ref[idx as usize].store(true, Ordering::Relaxed);
@@ -414,33 +401,17 @@ impl BulkTcf {
                     self.table.prefetch(next_block as usize * b);
                 }
             }
-            let view = self.table.load_span(start, b);
-            let live = Self::prefix_len(&view, start, b);
-            let vals = self.values.as_ref().map(|vb| vb.load_span(start, b));
-            let mut contents: Vec<u64> = (0..live).map(|i| view.get(start + i)).collect();
-            let mut contents_vals: Vec<u64> = match &vals {
-                Some(v) => (0..live).map(|i| v.get(start + i)).collect(),
-                None => Vec::new(),
-            };
+            let mut img = BlockImage::stage(&self.table, start, b);
+            img.stage_values(self.values.as_ref(), start, b);
             let mut changed = false;
             for &(_, idx) in &order_ref[lo..hi] {
-                let fp = items[idx as usize].fp;
-                if let Ok(pos) = contents.binary_search(&fp) {
-                    contents.remove(pos);
-                    if vals.is_some() {
-                        contents_vals.remove(pos);
-                    }
+                if img.remove(items[idx as usize].fp) {
                     removed_ref[idx as usize].store(true, Ordering::Relaxed);
                     changed = true;
                 }
             }
             if changed {
-                contents.resize(b, EMPTY);
-                self.table.write_span_coalesced(start, &contents);
-                if let Some(vb) = self.values.as_ref() {
-                    contents_vals.resize(b, 0);
-                    vb.write_span_coalesced(start, &contents_vals);
-                }
+                img.write_back(&self.table, self.values.as_ref(), start, b);
             }
         });
 
@@ -470,29 +441,132 @@ impl BulkTcf {
         self.grow_levels
     }
 
-    /// Read one block's live `(fingerprint, value)` prefix (values 0
-    /// without a store). Shared by the grow/merge migrations.
-    fn block_entries(&self, block: usize) -> Vec<(u64, u64)> {
+    /// Stage one block and decode its live `(fingerprint, value)` prefix
+    /// (values 0 without a store). Shared by the grow/merge migrations.
+    fn block_image(&self, block: usize) -> BlockImage {
         let b = self.cfg.block_slots;
-        let start = block * b;
-        let view = self.table.load_span(start, b);
-        let live = Self::prefix_len(&view, start, b);
-        let vals = self.values.as_ref().map(|vb| vb.load_span(start, b));
-        (0..live)
-            .map(|i| (view.get(start + i), vals.as_ref().map_or(0, |v| v.get(start + i))))
-            .collect()
+        let mut img = BlockImage::stage(&self.table, block * b, b);
+        img.stage_values(self.values.as_ref(), block * b, b);
+        img
     }
 
     /// Entries of `self`'s block `src` that belong in child block `dst`
     /// of a table with `dst_levels` doubling generations (`dst_levels >=
     /// self.grow_levels`): the fingerprint's low `dst_levels` bits must
     /// spell `dst`'s sub-index. Order (sorted) is preserved.
-    fn entries_for_child(&self, src: usize, dst: usize, dst_levels: u32) -> Vec<(u64, u64)> {
+    fn entries_for_child(&self, src: usize, dst: usize, dst_levels: u32) -> BlockImage {
         let mask = (1u64 << dst_levels) - 1;
         let want = dst as u64 & mask;
-        let mut entries = self.block_entries(src);
-        entries.retain(|&(fp, _)| fp & mask == want);
-        entries
+        let mut img = self.block_image(src);
+        img.retain(|fp| fp & mask == want);
+        img
+    }
+}
+
+/// Largest block a kernel stages (enforced by [`TcfConfig::validate`]);
+/// one block fits one [`SharedScratch`].
+const MAX_BLOCK_SLOTS: usize = SharedScratch::CAPACITY;
+const _: () = assert!(MAX_BLOCK_SLOTS >= 128, "validate() admits 128-slot blocks");
+
+/// One block's live prefix unpacked into stack arrays — the shared-memory
+/// image a block kernel merges, compacts or splits before the coalesced
+/// write-back. `fps[..len]` are sorted fingerprints and `vals[..len]` the
+/// values travelling with them (0 without a value store); every slot past
+/// `len` is EMPTY / 0, so `fps[..block_slots]` is the block's final image.
+struct BlockImage {
+    fps: [u64; MAX_BLOCK_SLOTS],
+    vals: [u64; MAX_BLOCK_SLOTS],
+    len: usize,
+}
+
+impl BlockImage {
+    fn empty() -> Self {
+        BlockImage { fps: [EMPTY; MAX_BLOCK_SLOTS], vals: [0; MAX_BLOCK_SLOTS], len: 0 }
+    }
+
+    /// Stage the `b`-slot block at `start` (one-or-two line loads),
+    /// decoded once, word by word; the live prefix ends at the first
+    /// EMPTY slot (live fingerprints are ≥ 2).
+    fn stage(table: &GpuBuffer, start: usize, b: usize) -> Self {
+        let mut img = Self::empty();
+        table.load_span_into(start, &mut img.fps[..b]);
+        img.len = img.fps[..b].partition_point(|&fp| fp != EMPTY);
+        img
+    }
+
+    /// Stage the block's value span too (when a store is attached); only
+    /// the live prefix's values are kept.
+    fn stage_values(&mut self, values: Option<&GpuBuffer>, start: usize, b: usize) {
+        if let Some(vb) = values {
+            vb.load_span_into(start, &mut self.vals[..b]);
+            self.vals[self.len..b].fill(0);
+        }
+    }
+
+    fn push(&mut self, fp: u64, val: u64) {
+        self.fps[self.len] = fp;
+        self.vals[self.len] = val;
+        self.len += 1;
+    }
+
+    /// Keep the entries whose fingerprint satisfies `keep`, in order.
+    fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+        let n = self.len;
+        self.len = 0;
+        for i in 0..n {
+            let (fp, val) = (self.fps[i], self.vals[i]);
+            if keep(fp) {
+                self.push(fp, val);
+            }
+        }
+        self.fps[self.len..n].fill(EMPTY);
+        self.vals[self.len..n].fill(0);
+    }
+
+    /// Remove one entry equal to `fp` (the one a binary search lands on);
+    /// returns whether one was present.
+    fn remove(&mut self, fp: u64) -> bool {
+        let Ok(pos) = self.fps[..self.len].binary_search(&fp) else {
+            return false;
+        };
+        self.fps.copy_within(pos + 1..self.len, pos);
+        self.vals.copy_within(pos + 1..self.len, pos);
+        self.len -= 1;
+        self.fps[self.len] = EMPTY;
+        self.vals[self.len] = 0;
+        true
+    }
+
+    /// Zip-merge two sorted images; on equal fingerprints `a`'s entry
+    /// comes first. The caller guarantees the union fits one block.
+    fn merged(a: &Self, b: &Self) -> Self {
+        let mut out = Self::empty();
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len && j < b.len {
+            if a.fps[i] <= b.fps[j] {
+                out.push(a.fps[i], a.vals[i]);
+                i += 1;
+            } else {
+                out.push(b.fps[j], b.vals[j]);
+                j += 1;
+            }
+        }
+        for k in i..a.len {
+            out.push(a.fps[k], a.vals[k]);
+        }
+        for k in j..b.len {
+            out.push(b.fps[k], b.vals[k]);
+        }
+        out
+    }
+
+    /// Coalesced write-back of the whole `b`-slot block at `start` (and
+    /// of its values when a store is attached).
+    fn write_back(&self, table: &GpuBuffer, values: Option<&GpuBuffer>, start: usize, b: usize) {
+        table.write_span_coalesced(start, &self.fps[..b]);
+        if let Some(vb) = values {
+            vb.write_span_coalesced(start, &self.vals[..b]);
+        }
     }
 }
 
@@ -535,16 +609,8 @@ impl filter_core::MaintainableFilter for BulkTcf {
             // base block, same low `old_levels` fingerprint bits.
             let parent = ((nb >> new_levels) << old_levels) | (nb & ((1usize << old_levels) - 1));
             let entries = self.entries_for_child(parent, nb, new_levels);
-            if entries.is_empty() {
-                return;
-            }
-            let mut fps: Vec<u64> = entries.iter().map(|&(fp, _)| fp).collect();
-            fps.resize(b, EMPTY);
-            new_table_ref.write_span_coalesced(nb * b, &fps);
-            if let Some(vb) = new_values_ref.as_ref() {
-                let mut vals: Vec<u64> = entries.iter().map(|&(_, v)| v).collect();
-                vals.resize(b, 0);
-                vb.write_span_coalesced(nb * b, &vals);
+            if entries.len > 0 {
+                entries.write_back(new_table_ref, new_values_ref.as_ref(), nb * b, b);
             }
         });
 
@@ -627,39 +693,24 @@ impl filter_core::MaintainableFilter for BulkTcf {
         let new_values_ref = &new_values;
         let overflow_ref = &overflow;
         self.device.launch_regions(self.n_blocks, |nb| {
-            let mine = self.block_entries(nb);
+            let mine = self.block_image(nb);
             let parent = ((nb >> ls) << lo) | (nb & ((1usize << lo) - 1));
             let theirs = other.entries_for_child(parent, nb, ls);
-            if mine.len() + theirs.len() > b {
+            if mine.len + theirs.len > b {
                 overflow_ref.store(true, Ordering::Relaxed);
                 return;
             }
-            if mine.is_empty() && theirs.is_empty() {
+            if mine.len + theirs.len == 0 {
                 return;
             }
             // Merge the two sorted runs, values travelling with their
             // fingerprints.
-            let mut merged = Vec::with_capacity(mine.len() + theirs.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < mine.len() && j < theirs.len() {
-                if mine[i].0 <= theirs[j].0 {
-                    merged.push(mine[i]);
-                    i += 1;
-                } else {
-                    merged.push(theirs[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&mine[i..]);
-            merged.extend_from_slice(&theirs[j..]);
-            let mut fps: Vec<u64> = merged.iter().map(|&(fp, _)| fp).collect();
-            fps.resize(b, EMPTY);
-            new_table_ref.write_span_coalesced(nb * b, &fps);
-            if let Some(vb) = new_values_ref.as_ref() {
-                let mut vals: Vec<u64> = merged.iter().map(|&(_, v)| v).collect();
-                vals.resize(b, 0);
-                vb.write_span_coalesced(nb * b, &vals);
-            }
+            BlockImage::merged(&mine, &theirs).write_back(
+                new_table_ref,
+                new_values_ref.as_ref(),
+                nb * b,
+                b,
+            );
         });
         if overflow.load(Ordering::Relaxed) {
             return Err(FilterError::needs_growth(self.load_factor()));
@@ -1444,6 +1495,43 @@ mod tests {
             let f = build(Parallelism::Threads(workers));
             assert_eq!(f.enumerate_fingerprints(), oracle_fps, "w={workers}");
             assert_eq!(f.bulk_query_vec(&probes), oracle_hits, "w={workers}");
+        }
+    }
+
+    /// ε = 0.07 picks 12-bit fingerprints: 5 slots per backing word, so a
+    /// 128-slot block starts and ends mid-word and every block write-back
+    /// shares its edge words with the neighbouring blocks, which other
+    /// workers may be rewriting in the same launch. Fill, delete, grow and
+    /// merge must still give the same table, outcomes and verdicts at any
+    /// worker budget.
+    #[test]
+    fn twelve_bit_blocks_are_identical_under_any_worker_budget() {
+        use filter_core::{MaintainableFilter, Parallelism};
+        let spec = FilterSpec::items(20_000).fp_rate(0.07);
+        let run = |p: Parallelism| {
+            let mut f = BulkTcf::from_spec(&spec.clone().parallelism(p)).unwrap();
+            assert_eq!(f.config().fp_bits, 12);
+            let keys = hashed_keys(94, (f.slots() as f64 * 0.9) as usize);
+            let mut inserted = vec![InsertOutcome::Inserted; keys.len()];
+            f.insert_batch_report(&keys, &mut inserted);
+            let doomed = &keys[..keys.len() / 8];
+            let mut deleted = vec![DeleteOutcome::NotFound; doomed.len()];
+            f.delete_batch_report(doomed, &mut deleted);
+            f.grow(2).unwrap();
+            let other = BulkTcf::from_spec(&spec.clone().parallelism(p)).unwrap();
+            assert_eq!(other.insert_batch(&hashed_keys(95, other.slots() / 4)), 0);
+            f.merge(&other).unwrap();
+            let probes: Vec<u64> = keys.iter().copied().chain(hashed_keys(96, 20_000)).collect();
+            (f.table.to_vec(), inserted, deleted, f.bulk_query_vec(&probes))
+        };
+        let oracle = run(Parallelism::Sequential);
+        assert!(oracle.1.iter().all(|o| o.inserted()), "90% load must fit");
+        for workers in [2u32, 8] {
+            let got = run(Parallelism::Threads(workers));
+            assert!(got.0 == oracle.0, "table diverges at workers={workers}");
+            assert_eq!(got.1, oracle.1, "insert outcomes diverge at workers={workers}");
+            assert_eq!(got.2, oracle.2, "delete outcomes diverge at workers={workers}");
+            assert_eq!(got.3, oracle.3, "query verdicts diverge at workers={workers}");
         }
     }
 
