@@ -94,9 +94,7 @@ pub use filter_core::{
     GrowthPolicy, InsertOutcome, MaintainableFilter, OpKind, Operation, Parallelism, RespStatus,
     ServiceBackend, Valued, WIRE_VERSION,
 };
-pub use filter_service::{
-    RingRouter, ServiceHandle, ServiceRouter, ShardRouter, ShardedFilter, ShardedFilterBuilder,
-};
+pub use filter_service::{RingRouter, ServiceHandle, ShardedFilter, ShardedFilterBuilder};
 pub use gpu_sim::{cost, Device, DeviceProfile, KernelStats};
 pub use gqf::{BulkGqf, PointGqf};
 pub use registry::{all_filters, build_filter};

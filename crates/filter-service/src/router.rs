@@ -8,20 +8,14 @@
 //! so the keys routed to one shard do not cluster inside that shard's
 //! table. SplitMix64 over a router seed gives all three.
 //!
-//! Two routers implement the [`Router`] trait:
-//!
-//! * [`RingRouter`] (the default) — consistent hashing over a ring of
-//!   splitmix-hashed virtual-node points, looked up by binary search.
-//!   Because a shard's points depend only on its own index (never on the
-//!   total shard count), resizing `n → n ± k` re-owns only the arcs that
-//!   actually change hands — ~`k/n` of the key space — which is what makes
-//!   live scale-*in* as cheap as scale-out
-//!   ([`ShardedFilter::set_shards`](crate::ShardedFilter::set_shards)).
-//!   Per-shard weights support heterogeneous capacity.
-//! * [`ShardRouter`] — the original multiplicative splitmix router, kept
-//!   as a baseline. Its `fast_reduce` ranges nest only when the shard
-//!   count multiplies (or divides), so it cannot express arbitrary resize
-//!   sequences.
+//! [`RingRouter`] places keys by consistent hashing over a ring of
+//! splitmix-hashed virtual-node points, looked up by binary search.
+//! Because a shard's points depend only on its own index (never on the
+//! total shard count), resizing `n → n ± k` re-owns only the arcs that
+//! actually change hands — ~`k/n` of the key space — which is what makes
+//! live scale-*in* as cheap as scale-out
+//! ([`ShardedFilter::set_shards`](crate::ShardedFilter::set_shards)).
+//! Per-shard weights support heterogeneous capacity.
 //!
 //! Raw iid vnode points leave ~`1/√V` relative imbalance (≈ 9 % at
 //! V = 128, with worst-of-n excursions past 20 %), so [`RingRouter`]
@@ -32,7 +26,7 @@
 //! sequence, so the correction only nudges a handful of tiny arcs and
 //! the ~`1/n` movement bound survives.
 
-use filter_core::hash::{fast_reduce, splitmix64};
+use filter_core::hash::splitmix64;
 
 /// Default router seed; distinct from every filter-internal hash seed.
 pub const ROUTER_SEED: u64 = 0x5e47_1ce5_0f11_7e25;
@@ -51,91 +45,6 @@ const VNODE_SALT: u64 = 0xd1b5_4a32_d192_ed03;
 /// granularity, ~1/V relative); the best observed assignment is kept, so
 /// extra rounds can only help.
 const BALANCE_ROUNDS: u32 = 24;
-
-/// Key → shard map: deterministic, uniform, and independent of the
-/// backends' internal hashes. Implemented by [`ShardRouter`] (multiplicative
-/// baseline), [`RingRouter`] (consistent hashing), and the [`ServiceRouter`]
-/// the serving layer actually stores.
-pub trait Router {
-    /// Number of shards routed over.
-    fn shards(&self) -> usize;
-
-    /// Shard index for `key`, in `0..shards()`.
-    fn route(&self, key: u64) -> usize;
-
-    /// Split `keys` into per-shard key vectors, remembering each key's
-    /// position in the input so batched results can be scattered back in
-    /// order. Returns `(keys_by_shard, positions_by_shard)`.
-    ///
-    /// Runs on the hot submit path of every batch: the per-shard vectors
-    /// are pre-sized to the expected uniform share so a batch does not pay
-    /// a doubling cascade per shard.
-    fn partition(&self, keys: &[u64]) -> (Vec<Vec<u64>>, Vec<Vec<u32>>) {
-        let shards = self.shards();
-        let per_shard = keys.len().div_ceil(shards.max(1));
-        let mut by_shard: Vec<Vec<u64>> =
-            (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
-        let mut positions: Vec<Vec<u32>> =
-            (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            let s = self.route(k);
-            by_shard[s].push(k);
-            positions[s].push(i as u32);
-        }
-        (by_shard, positions)
-    }
-}
-
-/// Deterministic splitmix-derived key router over `n` shards — the
-/// multiplicative baseline. Its `fast_reduce` ranges nest under shard-count
-/// multiplication (and division), which is exactly the resize family it
-/// supports; use [`RingRouter`] for arbitrary elastic resizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRouter {
-    shards: usize,
-    seed: u64,
-}
-
-impl ShardRouter {
-    /// Router over `shards` shards with the default seed. A shard count of
-    /// zero is clamped to one.
-    pub fn new(shards: usize) -> Self {
-        Self::with_seed(shards, ROUTER_SEED)
-    }
-
-    /// Router with an explicit seed (two services over the same key space
-    /// can use different seeds to decorrelate their hot shards).
-    pub fn with_seed(shards: usize, seed: u64) -> Self {
-        ShardRouter { shards: shards.max(1), seed }
-    }
-
-    /// Number of shards routed over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Shard index for `key`, in `0..shards()`.
-    #[inline]
-    pub fn route(&self, key: u64) -> usize {
-        fast_reduce(splitmix64(key ^ self.seed), self.shards as u64) as usize
-    }
-
-    /// See [`Router::partition`].
-    pub fn partition(&self, keys: &[u64]) -> (Vec<Vec<u64>>, Vec<Vec<u32>>) {
-        Router::partition(self, keys)
-    }
-}
-
-impl Router for ShardRouter {
-    fn shards(&self) -> usize {
-        ShardRouter::shards(self)
-    }
-
-    #[inline]
-    fn route(&self, key: u64) -> usize {
-        ShardRouter::route(self, key)
-    }
-}
 
 /// Consistent-hash router: shards own arcs of a 2⁶⁴ ring via
 /// splitmix-hashed virtual-node points; a key goes to the owner of the
@@ -232,9 +141,25 @@ impl RingRouter {
         self.route_hash(splitmix64(key ^ self.seed))
     }
 
-    /// See [`Router::partition`].
+    /// Split `keys` into per-shard key vectors, remembering each key's
+    /// position in the input so batched results can be scattered back in
+    /// order. Returns `(keys_by_shard, positions_by_shard)`.
+    ///
+    /// Runs on the hot submit path of every batch: the per-shard vectors
+    /// are pre-sized to the expected uniform share so a batch does not pay
+    /// a doubling cascade per shard.
     pub fn partition(&self, keys: &[u64]) -> (Vec<Vec<u64>>, Vec<Vec<u32>>) {
-        Router::partition(self, keys)
+        let per_shard = keys.len().div_ceil(self.shards);
+        let mut by_shard: Vec<Vec<u64>> =
+            (0..self.shards).map(|_| Vec::with_capacity(per_shard)).collect();
+        let mut positions: Vec<Vec<u32>> =
+            (0..self.shards).map(|_| Vec::with_capacity(per_shard)).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            let s = self.route(k);
+            by_shard[s].push(k);
+            positions[s].push(i as u32);
+        }
+        (by_shard, positions)
     }
 
     /// Exact fraction of the ring each shard owns (sums to 1). This is
@@ -263,16 +188,20 @@ impl RingRouter {
         }
         sets.into_iter().map(|s| s.into_iter().collect()).collect()
     }
-}
 
-impl Router for RingRouter {
-    fn shards(&self) -> usize {
-        RingRouter::shards(self)
-    }
-
-    #[inline]
-    fn route(&self, key: u64) -> usize {
-        RingRouter::route(self, key)
+    /// Fraction of a deterministic `samples`-key probe set that routes
+    /// differently under `other` — the measured movement cost of swapping
+    /// this ring for that one (an `n → n ± k` resize sits near
+    /// `k/(n ± k)`).
+    pub fn moved_fraction(&self, other: &RingRouter, samples: u64) -> f64 {
+        let samples = samples.max(1);
+        let moved = (0..samples)
+            .filter(|&i| {
+                let key = splitmix64(i);
+                self.route(key) != other.route(key)
+            })
+            .count();
+        moved as f64 / samples as f64
     }
 }
 
@@ -352,135 +281,30 @@ fn corrected_counts(seed: u64, vnodes: u32, targets: &[f64]) -> Vec<u32> {
     best.1
 }
 
-/// The router a live service stores: the consistent-hash ring (default)
-/// or the multiplicative splitmix baseline, selected at build time by
-/// [`ShardedFilterBuilder`](crate::ShardedFilterBuilder). An enum rather
-/// than a boxed trait object so handles route without an indirect call
-/// and the router stays `Clone + PartialEq`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServiceRouter {
-    /// Consistent-hash ring (supports arbitrary resize sequences).
-    Ring(RingRouter),
-    /// Multiplicative splitmix baseline (resize only by multiply/divide).
-    Splitmix(ShardRouter),
-}
-
-impl ServiceRouter {
-    /// Number of shards routed over.
-    pub fn shards(&self) -> usize {
-        match self {
-            ServiceRouter::Ring(r) => r.shards(),
-            ServiceRouter::Splitmix(r) => r.shards(),
-        }
-    }
-
-    /// Shard index for `key`, in `0..shards()`.
-    #[inline]
-    pub fn route(&self, key: u64) -> usize {
-        match self {
-            ServiceRouter::Ring(r) => r.route(key),
-            ServiceRouter::Splitmix(r) => r.route(key),
-        }
-    }
-
-    /// See [`Router::partition`].
-    pub fn partition(&self, keys: &[u64]) -> (Vec<Vec<u64>>, Vec<Vec<u32>>) {
-        Router::partition(self, keys)
-    }
-
-    /// Per new shard: which old shards' contents it must absorb for every
-    /// key to keep its membership answer across a resize from `old` to
-    /// `new` routing. Ring pairs sweep the two rings' elementary arcs;
-    /// splitmix pairs use the nesting rule (`new = k·old`: child `j`
-    /// inherits parent `j/k`; `old = k·new`: survivor `j` inherits its
-    /// `k` children). Mixed pairs (a build-config change mid-resize,
-    /// which the service never does) fall back to all-to-all, which is
-    /// correct for any pair of routers.
-    pub fn inheritors(old: &ServiceRouter, new: &ServiceRouter) -> Vec<Vec<usize>> {
-        match (old, new) {
-            (ServiceRouter::Ring(o), ServiceRouter::Ring(n)) => RingRouter::inheritors(o, n),
-            (ServiceRouter::Splitmix(o), ServiceRouter::Splitmix(n)) => {
-                let (on, nn) = (o.shards(), n.shards());
-                if nn % on == 0 {
-                    let k = nn / on;
-                    (0..nn).map(|j| vec![j / k]).collect()
-                } else if on % nn == 0 {
-                    let k = on / nn;
-                    (0..nn).map(|j| (j * k..j * k + k).collect()).collect()
-                } else {
-                    (0..nn).map(|_| (0..on).collect()).collect()
-                }
-            }
-            _ => (0..new.shards()).map(|_| (0..old.shards()).collect()).collect(),
-        }
-    }
-
-    /// Fraction of a deterministic `samples`-key probe set that routes
-    /// differently under `other` — the measured movement cost of swapping
-    /// this router for that one. Consistent-hash resizes `n → n ± k` sit
-    /// near `k/(n ± k)`; the multiplicative baseline re-owns
-    /// `(k − 1)/k` of the space on a `k×` resize.
-    pub fn moved_fraction(&self, other: &ServiceRouter, samples: u64) -> f64 {
-        let samples = samples.max(1);
-        let moved = (0..samples)
-            .filter(|&i| {
-                let key = splitmix64(i);
-                self.route(key) != other.route(key)
-            })
-            .count();
-        moved as f64 / samples as f64
-    }
-}
-
-impl Router for ServiceRouter {
-    fn shards(&self) -> usize {
-        ServiceRouter::shards(self)
-    }
-
-    #[inline]
-    fn route(&self, key: u64) -> usize {
-        ServiceRouter::route(self, key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn routing_is_in_range_and_deterministic() {
-        for shards in [1usize, 2, 3, 8, 17] {
-            let r = ShardRouter::new(shards);
+        // Non-default seeds and vnode budgets: the route stays a pure
+        // function of the ring's configuration.
+        for (shards, seed, vnodes) in [(1usize, 7u64, 1u32), (3, 8, 16), (8, 9, 300), (17, 10, 64)]
+        {
+            let r = RingRouter::with_config(shards, seed, vnodes, None);
+            let again = RingRouter::with_config(shards, seed, vnodes, None);
             for key in 0..10_000u64 {
                 let s = r.route(key);
                 assert!(s < shards);
-                assert_eq!(s, ShardRouter::new(shards).route(key), "instance-dependent routing");
+                assert_eq!(s, again.route(key), "instance-dependent routing");
             }
         }
     }
 
     #[test]
-    fn routing_is_roughly_uniform() {
-        let shards = 16;
-        let r = ShardRouter::new(shards);
-        let n = 160_000u64;
-        let mut counts = vec![0u64; shards];
-        for key in 0..n {
-            counts[r.route(key)] += 1;
-        }
-        let expect = n / shards as u64;
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(
-                c > expect * 9 / 10 && c < expect * 11 / 10,
-                "shard {s} holds {c} of expected {expect}"
-            );
-        }
-    }
-
-    #[test]
     fn seeds_decorrelate_routes() {
-        let a = ShardRouter::with_seed(8, 1);
-        let b = ShardRouter::with_seed(8, 2);
+        let a = RingRouter::with_seed(8, 1);
+        let b = RingRouter::with_seed(8, 2);
         let agree = (0..10_000u64).filter(|&k| a.route(k) == b.route(k)).count();
         // Independent routers agree ~1/8 of the time.
         assert!(agree < 2000, "routers too correlated: {agree}");
@@ -488,7 +312,7 @@ mod tests {
 
     #[test]
     fn partition_scatters_and_preserves_positions() {
-        let r = ShardRouter::new(4);
+        let r = RingRouter::new(4);
         let keys: Vec<u64> = (100..200).collect();
         let (by_shard, pos) = r.partition(&keys);
         let total: usize = by_shard.iter().map(|v| v.len()).sum();
@@ -504,10 +328,6 @@ mod tests {
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let r = ShardRouter::new(0);
-        assert_eq!(r.shards(), 1);
-        assert_eq!(r.route(123), 0);
-
         let r = RingRouter::new(0);
         assert_eq!(r.shards(), 1);
         assert_eq!(r.route(123), 0);
@@ -560,8 +380,8 @@ mod tests {
     #[test]
     fn ring_resize_moves_a_bounded_fraction() {
         for n in [2usize, 4, 8, 16] {
-            let old = ServiceRouter::Ring(RingRouter::new(n));
-            let up = ServiceRouter::Ring(RingRouter::new(n + 1));
+            let old = RingRouter::new(n);
+            let up = RingRouter::new(n + 1);
             let moved = old.moved_fraction(&up, 50_000);
             assert!(
                 moved <= 2.0 / n as f64,
@@ -588,22 +408,6 @@ mod tests {
                 "key {key}: new owner {n} does not inherit old owner {o}"
             );
         }
-    }
-
-    #[test]
-    fn splitmix_inheritors_follow_the_nesting_rule() {
-        let old = ServiceRouter::Splitmix(ShardRouter::new(2));
-        let new = ServiceRouter::Splitmix(ShardRouter::new(6));
-        assert_eq!(
-            ServiceRouter::inheritors(&old, &new),
-            vec![vec![0], vec![0], vec![0], vec![1], vec![1], vec![1]]
-        );
-        let back = ServiceRouter::inheritors(&new, &old);
-        assert_eq!(back, vec![vec![0, 1, 2], vec![3, 4, 5]]);
-        // Non-nesting counts fall back to all-to-all.
-        let odd = ServiceRouter::Splitmix(ShardRouter::new(5));
-        let all = ServiceRouter::inheritors(&new, &odd);
-        assert!(all.iter().all(|set| set.len() == 6));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The sharded, batch-aggregating serving layer.
+//! The sharded, batch-aggregating serving layer: the builder, the
+//! [`ShardedFilter`] that owns the shard fleet, and live resizing.
 //!
 //! Architecture (one box per shard):
 //!
@@ -28,430 +29,41 @@
 //!   return; `barrier()` waits for everything already enqueued. Streaming
 //!   workloads use this to keep every shard busy from one thread.
 //!
+//! Both modes, and the callback-driven `submit_batch`, share one
+//! completion path: each request's per-shard share carries a claim on one
+//! set of result slots, which the worker answers once per flushed run.
+//!
 //! **Capacity lifecycle.** Shard workers built over a
 //! [`MaintainableFilter`] backend auto-grow it under the spec's
 //! [`GrowthPolicy`], retrying exactly the keys a full backend failed — so
 //! a service over a growable kind never surfaces capacity failures. The
 //! service itself resizes live: [`ShardedFilter::set_shards`] moves the
-//! fleet to *any* shard count — out or in — by consulting the routers:
+//! fleet to *any* shard count — out or in — by consulting the rings:
 //! each new shard merge-absorbs exactly the old backends whose ring arcs
-//! it takes over ([`ServiceRouter::inheritors`]), correct under
-//! concurrent blocking and pipelined handles (intake pauses on the
-//! shared routing state while old shards drain). Under the default
-//! [`RingRouter`] an `n → n ± k` resize re-owns only ~`k/n` of the key
-//! space; the splitmix baseline ([`ShardedFilterBuilder::splitmix_routing`])
-//! keeps the PR 5 behavior, resizing only by whole multiples. Growth,
-//! migration, scale-out/in, and moved-key events land in the
-//! [`ServiceStats`] ledger.
+//! it takes over ([`RingRouter::inheritors`]), correct under concurrent
+//! blocking and pipelined handles (intake pauses on the shared routing
+//! state while old shards drain). An `n → n ± k` resize re-owns only
+//! ~`k/n` of the key space. Growth, migration, scale-out/in, and
+//! moved-key events land in the [`ServiceStats`] ledger.
 
 use crate::cache::QueryCache;
-use crate::router::{RingRouter, ServiceRouter, ShardRouter, DEFAULT_VNODES, ROUTER_SEED};
+use crate::handle::{RouteState, ServiceControl, ServiceHandle};
+use crate::router::{RingRouter, DEFAULT_VNODES, ROUTER_SEED};
 use crate::stats::{ServiceStats, StatsInner};
+use crate::worker::{DeleteHooks, MaintainHooks, Task, WorkerConfig, MAX_GROWS_PER_FLUSH};
 use filter_core::{
-    DeleteOutcome, FilterError, FilterSpec, GrowthPolicy, InsertOutcome, MaintainableFilter,
-    OpKind, Parallelism, ServiceBackend,
+    FilterError, FilterSpec, GrowthPolicy, MaintainableFilter, Parallelism, ServiceBackend,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Grow events one flush (or one scale-out merge) may trigger — the
-/// runaway-policy backstop shared with the facade-side
-/// [`filter_core::GrowingFilter`] loop.
-const MAX_GROWS_PER_FLUSH: u32 = filter_core::growth::MAX_GROWS_PER_OP;
 
 /// Deterministic probe keys sampled by [`ShardedFilter::set_shards`] to
 /// measure the fraction of the key space a routing change re-routes (the
 /// basis of the `keys_moved` ledger estimate).
 const MOVE_PROBE_KEYS: u64 = 4096;
-
-/// Completion gate for insert-like operations: counts keys still in
-/// flight, accumulating failures and aborts.
-#[derive(Debug)]
-struct OpGate {
-    state: Mutex<OpGateState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct OpGateState {
-    remaining: usize,
-    failures: usize,
-    aborted: usize,
-}
-
-impl OpGate {
-    fn new(remaining: usize) -> Arc<Self> {
-        Arc::new(OpGate {
-            state: Mutex::new(OpGateState { remaining, failures: 0, aborted: 0 }),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn done(&self, ok: bool, aborted: bool) {
-        let mut s = self.state.lock().unwrap();
-        s.remaining -= 1;
-        if aborted {
-            s.aborted += 1;
-        } else if !ok {
-            s.failures += 1;
-        }
-        if s.remaining == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Park until every key completes; returns `(failures, aborted)`.
-    fn wait(&self) -> (usize, usize) {
-        let mut s = self.state.lock().unwrap();
-        while s.remaining > 0 {
-            s = self.cv.wait(s).unwrap();
-        }
-        (s.failures, s.aborted)
-    }
-}
-
-/// Completion gate for query-like operations: a result slot per key.
-#[derive(Debug)]
-struct QueryGate {
-    state: Mutex<QueryGateState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct QueryGateState {
-    results: Vec<bool>,
-    remaining: usize,
-    aborted: usize,
-}
-
-impl QueryGate {
-    fn new(n: usize) -> Arc<Self> {
-        Arc::new(QueryGate {
-            state: Mutex::new(QueryGateState { results: vec![false; n], remaining: n, aborted: 0 }),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn set(&self, slot: u32, value: bool, aborted: bool) {
-        let mut s = self.state.lock().unwrap();
-        s.results[slot as usize] = value;
-        s.remaining -= 1;
-        if aborted {
-            s.aborted += 1;
-        }
-        if s.remaining == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Park until every slot fills; returns `(results, aborted)`.
-    fn wait(&self) -> (Vec<bool>, usize) {
-        let mut s = self.state.lock().unwrap();
-        while s.remaining > 0 {
-            s = self.cv.wait(s).unwrap();
-        }
-        (std::mem::take(&mut s.results), s.aborted)
-    }
-}
-
-/// One key's claim on an [`OpGate`]. Dropping an unfulfilled ack (task
-/// dropped on a dead channel, worker gone) counts as an abort, so waiting
-/// callers can never hang.
-#[derive(Debug)]
-struct InsertAck {
-    gate: Arc<OpGate>,
-    done: bool,
-}
-
-impl InsertAck {
-    fn new(gate: Arc<OpGate>) -> Self {
-        InsertAck { gate, done: false }
-    }
-
-    fn fulfill(mut self, ok: bool) {
-        self.done = true;
-        self.gate.done(ok, false);
-    }
-}
-
-impl Drop for InsertAck {
-    fn drop(&mut self) {
-        if !self.done {
-            self.gate.done(false, true);
-        }
-    }
-}
-
-/// One key's claim on a [`QueryGate`] slot; abort-on-drop like
-/// [`InsertAck`].
-#[derive(Debug)]
-struct QueryAck {
-    gate: Arc<QueryGate>,
-    slot: u32,
-    done: bool,
-}
-
-impl QueryAck {
-    fn new(gate: Arc<QueryGate>, slot: u32) -> Self {
-        QueryAck { gate, slot, done: false }
-    }
-
-    fn fulfill(mut self, value: bool) {
-        self.done = true;
-        self.gate.set(self.slot, value, false);
-    }
-}
-
-impl Drop for QueryAck {
-    fn drop(&mut self) {
-        if !self.done {
-            self.gate.set(self.slot, false, true);
-        }
-    }
-}
-
-/// Aggregate result of an asynchronously submitted batch
-/// ([`ServiceHandle::submit_batch`]), delivered to the completion callback
-/// once every key of the batch has flushed.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Per-key answers in submission order — insert: accepted, query:
-    /// possibly present, delete: removed.
-    pub results: Vec<bool>,
-    /// Keys whose worker disappeared before answering (service stopped
-    /// mid-flight); their result slots read `false`.
-    pub aborted: usize,
-}
-
-type BatchCallback = Box<dyn FnOnce(BatchReport) + Send + 'static>;
-
-/// Completion gate for callback-style batches: like [`QueryGate`], but
-/// instead of parking a caller, the last-arriving answer fires a callback
-/// (outside the gate lock, on whichever shard worker delivered it).
-struct AsyncGate {
-    state: Mutex<AsyncGateState>,
-}
-
-struct AsyncGateState {
-    results: Vec<bool>,
-    remaining: usize,
-    aborted: usize,
-    on_done: Option<BatchCallback>,
-}
-
-impl std::fmt::Debug for AsyncGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("AsyncGate")
-    }
-}
-
-impl AsyncGate {
-    fn new(n: usize, on_done: BatchCallback) -> Arc<Self> {
-        Arc::new(AsyncGate {
-            state: Mutex::new(AsyncGateState {
-                results: vec![false; n],
-                remaining: n,
-                aborted: 0,
-                on_done: Some(on_done),
-            }),
-        })
-    }
-
-    fn set(&self, slot: u32, value: bool, aborted: bool) {
-        let fire = {
-            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            s.results[slot as usize] = value;
-            s.remaining -= 1;
-            if aborted {
-                s.aborted += 1;
-            }
-            if s.remaining == 0 {
-                s.on_done.take().map(|cb| (std::mem::take(&mut s.results), s.aborted, cb))
-            } else {
-                None
-            }
-        };
-        if let Some((results, aborted, cb)) = fire {
-            cb(BatchReport { results, aborted });
-        }
-    }
-}
-
-/// One key's claim on an [`AsyncGate`] slot; abort-on-drop like
-/// [`QueryAck`], so a successfully submitted batch *always* fires its
-/// callback, even when the service stops mid-flight.
-#[derive(Debug)]
-struct AsyncAck {
-    gate: Arc<AsyncGate>,
-    slot: u32,
-    done: bool,
-}
-
-impl AsyncAck {
-    fn new(gate: Arc<AsyncGate>, slot: u32) -> Self {
-        AsyncAck { gate, slot, done: false }
-    }
-
-    fn fulfill(mut self, value: bool) {
-        self.done = true;
-        self.gate.set(self.slot, value, false);
-    }
-}
-
-impl Drop for AsyncAck {
-    fn drop(&mut self) {
-        if !self.done {
-            self.gate.set(self.slot, false, true);
-        }
-    }
-}
-
-/// Operation classes inside a shard buffer; maximal same-kind runs become
-/// one backend bulk call each.
-const KIND_INSERT: u8 = 0;
-const KIND_QUERY: u8 = 1;
-const KIND_DELETE: u8 = 2;
-
-/// The completion path of one buffered operation.
-#[derive(Debug)]
-enum Ack {
-    /// Fire-and-forget (pipelined): nothing to notify.
-    Fire,
-    /// A blocking caller's claim on an [`OpGate`].
-    Insert(InsertAck),
-    /// A blocking caller's slot on a [`QueryGate`].
-    Slot(QueryAck),
-    /// A completion-callback slot on an [`AsyncGate`] (the network
-    /// reactor's path into the service).
-    Async(AsyncAck),
-}
-
-impl Ack {
-    /// Deliver the per-key answer (insert: accepted; query: possibly
-    /// present; delete: removed).
-    fn fulfill(self, value: bool) {
-        match self {
-            Ack::Fire => {}
-            Ack::Insert(a) => a.fulfill(value),
-            Ack::Slot(a) => a.fulfill(value),
-            Ack::Async(a) => a.fulfill(value),
-        }
-    }
-
-    /// Whether fulfilling this ack observably reports anything.
-    fn wants_report(&self) -> bool {
-        !matches!(self, Ack::Fire)
-    }
-}
-
-/// One buffered operation awaiting a flush, stamped with its submission
-/// time so the flushing worker can record end-to-end service latency.
-#[derive(Debug)]
-struct Pending {
-    kind: u8,
-    key: u64,
-    at: Instant,
-    ack: Ack,
-}
-
-impl Pending {
-    fn insert(key: u64, at: Instant, ack: Ack) -> Self {
-        Pending { kind: KIND_INSERT, key, at, ack }
-    }
-
-    fn query(key: u64, at: Instant, ack: Ack) -> Self {
-        Pending { kind: KIND_QUERY, key, at, ack }
-    }
-
-    fn delete(key: u64, at: Instant, ack: Ack) -> Self {
-        Pending { kind: KIND_DELETE, key, at, ack }
-    }
-}
-
-/// What flows through a shard's queue.
-enum Task {
-    /// A single operation.
-    One(Pending),
-    /// A pre-routed batch of operations (kept in submission order).
-    Many(Vec<Pending>),
-    /// Flush everything buffered, then acknowledge.
-    Barrier(InsertAck),
-    /// Flush, acknowledge nothing, and exit the worker.
-    Stop,
-}
-
-impl Task {
-    fn ops(&self) -> u64 {
-        match self {
-            Task::One(_) | Task::Barrier(_) => 1,
-            Task::Many(v) => v.len() as u64,
-            // Stop never passes through a handle's `send`, so it is never
-            // counted as enqueued; counting it dequeued would underflow
-            // the queue-depth gauge.
-            Task::Stop => 0,
-        }
-    }
-}
-
-/// Per-backend bulk-delete hooks, captured at build time so delete
-/// support is a monomorphized capability rather than a trait-object
-/// downcast. The report hook (`out[i]` answers `keys[i]`) serves blocking
-/// callers — their answers come from the delete itself, no pre-query
-/// round trip — while the aggregate hook keeps ack-free pipelined flushes
-/// on the cheaper plain-sort path.
-/// Signature of the per-key report hook.
-type DeleteReportFn<B> = fn(&B, &[u64], &mut [DeleteOutcome]) -> Result<(), FilterError>;
-
-struct DeleteHooks<B> {
-    report: DeleteReportFn<B>,
-    aggregate: fn(&B, &[u64]) -> Result<usize, FilterError>,
-}
-
-// Manual impls: the fields are plain fn pointers, so the hooks are Copy
-// for every `B` (a derive would demand `B: Copy`).
-impl<B> Clone for DeleteHooks<B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<B> Copy for DeleteHooks<B> {}
-
-/// Per-backend capacity-lifecycle hooks, captured at build time like
-/// [`DeleteHooks`] so maintenance is a monomorphized capability. `auto`
-/// carries the [`GrowthPolicy::Auto`] parameters when shard workers
-/// should grow their backend on load/failure; the grow/merge hooks also
-/// serve [`ShardedFilter::set_shards`] regardless of policy.
-struct MaintainHooks<B> {
-    load: fn(&B) -> f64,
-    grow: fn(&mut B, u32) -> Result<(), FilterError>,
-    merge: fn(&mut B, &B) -> Result<(), FilterError>,
-    /// `Some((max_load, factor))` when workers auto-grow.
-    auto: Option<(f64, u32)>,
-}
-
-impl<B> Clone for MaintainHooks<B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<B> Copy for MaintainHooks<B> {}
-
-impl<B: MaintainableFilter> MaintainHooks<B> {
-    fn for_policy(growth: GrowthPolicy) -> Self {
-        MaintainHooks {
-            load: |b| b.load(),
-            grow: |b, factor| b.grow(factor),
-            merge: |b, other| b.merge(other),
-            auto: match growth {
-                GrowthPolicy::Fixed => None,
-                GrowthPolicy::Auto { max_load, factor } => Some((max_load, factor)),
-            },
-        }
-    }
-}
 
 /// Configuration for a [`ShardedFilter`]; see the field setters.
 #[derive(Debug, Clone)]
@@ -463,12 +75,10 @@ pub struct ShardedFilterBuilder {
     seed: u64,
     vnodes: u32,
     weights: Option<Vec<f64>>,
-    ring_routing: bool,
     parallelism: Parallelism,
     growth: GrowthPolicy,
     coalesce: bool,
     cache_entries: usize,
-    pool_scratch: bool,
 }
 
 impl Default for ShardedFilterBuilder {
@@ -481,12 +91,10 @@ impl Default for ShardedFilterBuilder {
             seed: ROUTER_SEED,
             vnodes: DEFAULT_VNODES,
             weights: None,
-            ring_routing: true,
             parallelism: Parallelism::Auto,
             growth: GrowthPolicy::Fixed,
             coalesce: true,
             cache_entries: 0,
-            pool_scratch: true,
         }
     }
 }
@@ -527,8 +135,7 @@ impl ShardedFilterBuilder {
         self
     }
 
-    /// Override the router seed (see [`RingRouter::with_seed`] /
-    /// [`ShardRouter::with_seed`]).
+    /// Override the router seed (see [`RingRouter::with_seed`]).
     pub fn router_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -537,8 +144,7 @@ impl ShardedFilterBuilder {
     /// Virtual nodes per unit-weight shard on the consistent-hash ring
     /// (default 128; zero clamps to one). More vnodes tighten balance
     /// (the residual imbalance after correction is ~one vnode arc) at the
-    /// cost of a larger binary-search table. Ignored under
-    /// [`Self::splitmix_routing`].
+    /// cost of a larger binary-search table.
     pub fn ring_vnodes(mut self, vnodes: u32) -> Self {
         self.vnodes = vnodes.max(1);
         self
@@ -548,35 +154,15 @@ impl ShardedFilterBuilder {
     /// serves a key-space share proportional to `weights[i]`. Entries
     /// beyond the live shard count are ignored; missing, non-finite, or
     /// non-positive entries default to `1.0`. A resize keeps applying the
-    /// same weight vector to however many shards then exist. Ignored
-    /// under [`Self::splitmix_routing`].
+    /// same weight vector to however many shards then exist.
     pub fn shard_weights(mut self, weights: Vec<f64>) -> Self {
         self.weights = Some(weights);
         self
     }
 
-    /// Route with the original multiplicative [`ShardRouter`] instead of
-    /// the consistent-hash ring — the pre-ring baseline, kept for
-    /// comparison. Restricts [`ShardedFilter::set_shards`] to resizes
-    /// where one shard count divides the other (the only family whose
-    /// splitmix ranges nest).
-    pub fn splitmix_routing(mut self) -> Self {
-        self.ring_routing = false;
-        self
-    }
-
     /// The router this configuration produces for `shards` live shards.
-    fn make_router(&self, shards: usize) -> ServiceRouter {
-        if self.ring_routing {
-            ServiceRouter::Ring(RingRouter::with_config(
-                shards,
-                self.seed,
-                self.vnodes,
-                self.weights.as_deref(),
-            ))
-        } else {
-            ServiceRouter::Splitmix(ShardRouter::with_seed(shards, self.seed))
-        }
+    fn make_router(&self, shards: usize) -> RingRouter {
+        RingRouter::with_config(shards, self.seed, self.vnodes, self.weights.as_deref())
     }
 
     /// Service-wide host-parallelism budget for the backends' bulk phases
@@ -626,15 +212,6 @@ impl ShardedFilterBuilder {
     /// [`ServiceStats`].
     pub fn query_cache(mut self, entries: usize) -> Self {
         self.cache_entries = entries;
-        self
-    }
-
-    /// Toggle reuse of the per-flush scratch buffers (run/key/verdict
-    /// vectors) across a worker's flushes (default on). Off releases the
-    /// scratch capacity after every flush — the allocate-per-batch
-    /// baseline, kept sweepable for benches.
-    pub fn pool_scratch(mut self, on: bool) -> Self {
-        self.pool_scratch = on;
         self
     }
 
@@ -747,15 +324,6 @@ impl ShardedFilterBuilder {
     }
 }
 
-impl<B: ServiceBackend + filter_core::BulkDeletable> DeleteHooks<B> {
-    fn new() -> Self {
-        DeleteHooks {
-            report: |b: &B, keys, out| b.bulk_delete_report(keys, out),
-            aggregate: |b: &B, keys| b.bulk_delete(keys),
-        }
-    }
-}
-
 /// One live shard fleet: a sender per worker plus the worker handles.
 type ShardFleet = (Vec<SyncSender<Task>>, Vec<JoinHandle<()>>);
 
@@ -784,7 +352,6 @@ fn spawn_workers<B: ServiceBackend + 'static>(
             maintain,
             coalesce: cfg.coalesce,
             cache: QueryCache::new(cfg.cache_entries),
-            pool_scratch: cfg.pool_scratch,
         };
         let handle = std::thread::Builder::new()
             .name(format!("filter-shard-{i}.g{generation}"))
@@ -794,899 +361,6 @@ fn spawn_workers<B: ServiceBackend + 'static>(
         workers.push(handle);
     }
     Ok((senders, workers))
-}
-
-/// The handle-visible routing state: one sender per live shard plus the
-/// router that addresses them. Swapped atomically (behind one `RwLock`,
-/// the `ring` field on every owner) by [`ShardedFilter::set_shards`], so
-/// every handle — blocking or pipelined, cloned before or after a
-/// resize — always routes against a consistent (senders, router) pair.
-struct RouteState {
-    senders: Vec<SyncSender<Task>>,
-    router: ServiceRouter,
-}
-
-/// Per-shard worker: drains the queue, buffers, flushes. The backend
-/// sits behind a `RwLock`: flushes hold the read side (the worker is the
-/// only operation path), and the write side serves in-place growth —
-/// from this worker's own auto-grow or from a scale-out migration, which
-/// only runs after the worker has been stopped.
-struct WorkerConfig<B: ServiceBackend> {
-    backend: Arc<RwLock<B>>,
-    rx: Receiver<Task>,
-    stats: Arc<StatsInner>,
-    capacity: usize,
-    /// Linger in nanoseconds, shared with [`ServiceControl`] so an
-    /// external controller (the adaptive network tier) can retune it live;
-    /// read when a deadline is armed.
-    linger_ns: Arc<AtomicU64>,
-    delete_fn: Option<DeleteHooks<B>>,
-    maintain: Option<MaintainHooks<B>>,
-    /// Sort-dedup query runs before probing (see
-    /// [`ShardedFilterBuilder::coalesce_queries`]).
-    coalesce: bool,
-    /// Hot-key verdict cache, when armed (fresh per worker generation, so
-    /// a resize never carries verdicts across migrated backends).
-    cache: Option<QueryCache>,
-    /// Keep flush scratch capacity across flushes.
-    pool_scratch: bool,
-}
-
-/// Per-worker scratch reused across flushes so a steady-state worker
-/// allocates nothing per batch: the drained op buffer, the current
-/// same-kind run, its key column, and the query-path working vectors.
-#[derive(Default)]
-struct FlushScratch {
-    ops: Vec<Pending>,
-    run: Vec<Pending>,
-    keys: Vec<u64>,
-    q: QueryScratch,
-}
-
-impl FlushScratch {
-    /// Drop all retained capacity (the allocate-per-flush baseline arm).
-    fn release(&mut self) {
-        *self = FlushScratch::default();
-    }
-}
-
-/// Query-flush working set: `(key, slot)` pairs for the sort-dedup, the
-/// distinct key column with its verdicts, cache-miss positions, and the
-/// fanned-out per-slot verdicts.
-#[derive(Default)]
-struct QueryScratch {
-    pairs: Vec<(u64, u32)>,
-    distinct: Vec<u64>,
-    dverdict: Vec<bool>,
-    miss_pos: Vec<u32>,
-    miss_keys: Vec<u64>,
-    verdicts: Vec<bool>,
-}
-
-impl<B: ServiceBackend> WorkerConfig<B> {
-    fn backend(&self) -> RwLockReadGuard<'_, B> {
-        self.backend.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn linger(&self) -> Duration {
-        Duration::from_nanos(self.linger_ns.load(Ordering::Relaxed))
-    }
-
-    /// Auto-grow loop after an insert flush: while keys failed or the
-    /// load sits past the policy threshold, grow the backend and retry
-    /// exactly the failed keys, rewriting their outcomes. Returns the
-    /// final failure count (0 unless growth is exhausted or refused).
-    /// This is the monomorphized, ledger-recording sibling of
-    /// `filter_core::GrowingFilter::settle_inserts` (which serves the
-    /// boxed facade and reports `NeedsGrowth` instead of counting);
-    /// changes to either loop's semantics belong in both.
-    fn settle_inserts(&self, keys: &[u64], outcomes: &mut [InsertOutcome]) -> usize {
-        let Some(hooks) = self.maintain else {
-            return outcomes.iter().filter(|o| o.failed()).count();
-        };
-        let Some((max_load, factor)) = hooks.auto else {
-            return outcomes.iter().filter(|o| o.failed()).count();
-        };
-        for _ in 0..MAX_GROWS_PER_FLUSH {
-            let failed: Vec<usize> =
-                (0..outcomes.len()).filter(|&i| outcomes[i].failed()).collect();
-            let over = (hooks.load)(&self.backend()) >= max_load;
-            if failed.is_empty() && !over {
-                return 0;
-            }
-            {
-                let mut b = self.backend.write().unwrap_or_else(|e| e.into_inner());
-                if (hooks.grow)(&mut b, factor).is_err() {
-                    return failed.len();
-                }
-            }
-            self.stats.grow_events.fetch_add(1, Ordering::Relaxed);
-            if !failed.is_empty() {
-                let retry_keys: Vec<u64> = failed.iter().map(|&i| keys[i]).collect();
-                let mut retry_out = vec![InsertOutcome::Inserted; retry_keys.len()];
-                if self.backend().bulk_insert_report(&retry_keys, &mut retry_out).is_err() {
-                    return failed.len();
-                }
-                let recovered = retry_out.iter().filter(|o| o.inserted()).count() as u64;
-                self.stats.regrown_keys.fetch_add(recovered, Ordering::Relaxed);
-                for (slot, outcome) in failed.into_iter().zip(retry_out) {
-                    outcomes[slot] = outcome;
-                }
-            }
-        }
-        outcomes.iter().filter(|o| o.failed()).count()
-    }
-    fn run(self) {
-        let mut pending: Vec<Pending> = Vec::with_capacity(self.capacity);
-        let mut scratch = FlushScratch::default();
-        let mut deadline: Option<Instant> = None;
-        loop {
-            let task = if pending.is_empty() {
-                match self.rx.recv() {
-                    Ok(t) => t,
-                    Err(_) => break,
-                }
-            } else {
-                let dl = deadline.unwrap_or_else(Instant::now);
-                match self.rx.recv_timeout(dl.saturating_duration_since(Instant::now())) {
-                    Ok(t) => t,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.flush(&mut pending, &mut scratch);
-                        deadline = None;
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.flush(&mut pending, &mut scratch);
-                        break;
-                    }
-                }
-            };
-            self.stats.dequeued(task.ops());
-            match task {
-                Task::One(p) => pending.push(p),
-                Task::Many(ps) => pending.extend(ps),
-                Task::Barrier(ack) => {
-                    self.flush(&mut pending, &mut scratch);
-                    deadline = None;
-                    ack.fulfill(true);
-                    continue;
-                }
-                Task::Stop => {
-                    self.flush(&mut pending, &mut scratch);
-                    return;
-                }
-            }
-            // Flush on a full buffer or an expired linger deadline. The
-            // deadline must be re-checked here, not only on recv timeout:
-            // under a sustained arrival stream recv_timeout keeps
-            // returning Ok and would otherwise starve the deadline until
-            // the buffer fills, unboundedly delaying blocking callers.
-            if pending.len() >= self.capacity || deadline.is_some_and(|d| Instant::now() >= d) {
-                self.flush(&mut pending, &mut scratch);
-                deadline = None;
-            } else if deadline.is_none() {
-                deadline = Some(Instant::now() + self.linger());
-            }
-        }
-        self.flush(&mut pending, &mut scratch);
-    }
-
-    /// Apply the buffer in arrival order: each maximal run of same-kind
-    /// operations becomes one backend bulk call. Same-kind runs dominate
-    /// real streams, and honoring arrival order keeps per-key semantics
-    /// sequential (a key always lands on one shard).
-    fn flush(&self, pending: &mut Vec<Pending>, scratch: &mut FlushScratch) {
-        if pending.is_empty() {
-            return;
-        }
-        let FlushScratch { ops, run, keys, q } = scratch;
-        ops.clear();
-        ops.append(pending);
-        let mut iter = ops.drain(..).peekable();
-        while let Some(first) = iter.next() {
-            let kind = first.kind;
-            keys.clear();
-            keys.push(first.key);
-            run.push(first);
-            while iter.peek().map(|p| p.kind) == Some(kind) {
-                let p = iter.next().unwrap();
-                keys.push(p.key);
-                run.push(p);
-            }
-            // Mutation runs advance the cache epoch *before* any later
-            // query run in this same flush resolves, so a verdict cached
-            // under the pre-mutation backend can never answer a query
-            // sequenced after the mutation. The bump also precedes the
-            // run's acks: a caller that sees its mutation acknowledged
-            // sees the invalidation in the stats too. (Only this worker
-            // touches the cache, so nothing can refill it in between.)
-            match kind {
-                KIND_INSERT => {
-                    self.invalidate_cache();
-                    self.flush_inserts(keys, run.drain(..));
-                }
-                KIND_QUERY => self.flush_queries(keys, run.drain(..), q),
-                _ => {
-                    self.invalidate_cache();
-                    self.flush_deletes(keys, run.drain(..));
-                }
-            }
-        }
-        drop(iter);
-        if !self.pool_scratch {
-            scratch.release();
-        }
-    }
-
-    /// Bump the hot-key cache's mutation epoch (when one is armed) after
-    /// an insert or delete run touched the backend.
-    fn invalidate_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.invalidate();
-            self.stats.cache_invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one end-to-end latency sample (submission → flush done).
-    fn record_latency(&self, p: &Pending) {
-        self.stats.latency.record(p.at.elapsed());
-    }
-
-    fn flush_inserts(&self, keys: &[u64], run: std::vec::Drain<'_, Pending>) {
-        // Fully pipelined runs need only the aggregate failure count —
-        // unless an auto-growth policy is armed, in which case the
-        // per-key report drives the grow-and-retry loop even for them.
-        let wants_acks = run.as_slice().iter().any(|p| p.ack.wants_report());
-        let auto_growth = self.maintain.is_some_and(|m| m.auto.is_some());
-        if !wants_acks && !auto_growth {
-            let t0 = Instant::now();
-            let failed = self.backend().bulk_insert(keys).unwrap_or(keys.len());
-            self.stats.record_flush(keys.len(), t0.elapsed());
-            if failed > 0 {
-                self.stats.insert_failures.fetch_add(failed as u64, Ordering::Relaxed);
-            }
-            for p in run {
-                self.record_latency(&p);
-            }
-            return;
-        }
-        // Per-key outcomes come straight from the backend's report API, so
-        // individual failures are attributed exactly — and, under an Auto
-        // policy, retried across grows until they land.
-        let mut outcomes = vec![InsertOutcome::Inserted; keys.len()];
-        let t0 = Instant::now();
-        let result = self.backend().bulk_insert_report(keys, &mut outcomes);
-        match result {
-            Ok(()) => {
-                let failed = self.settle_inserts(keys, &mut outcomes);
-                self.stats.record_flush(keys.len(), t0.elapsed());
-                if failed > 0 {
-                    self.stats.insert_failures.fetch_add(failed as u64, Ordering::Relaxed);
-                }
-                for (p, outcome) in run.zip(outcomes) {
-                    self.record_latency(&p);
-                    p.ack.fulfill(outcome.inserted());
-                }
-            }
-            Err(_) => {
-                self.stats.record_flush(keys.len(), t0.elapsed());
-                self.stats.insert_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
-                for p in run {
-                    self.record_latency(&p);
-                    p.ack.fulfill(false);
-                }
-            }
-        }
-    }
-
-    fn flush_queries(&self, keys: &[u64], run: std::vec::Drain<'_, Pending>, q: &mut QueryScratch) {
-        let t0 = Instant::now();
-        if !self.coalesce && self.cache.is_none() {
-            // Baseline: one bulk probe over the run exactly as it arrived.
-            let hits = self.backend().bulk_query_vec(keys);
-            self.stats.record_flush(keys.len(), t0.elapsed());
-            let n_hits = hits.iter().filter(|&&h| h).count() as u64;
-            self.stats.query_hits.fetch_add(n_hits, Ordering::Relaxed);
-            for (p, hit) in run.zip(hits) {
-                self.record_latency(&p);
-                p.ack.fulfill(hit);
-            }
-            return;
-        }
-        // Fast path: resolve a verdict per slot through the sort-dedup
-        // coalescer and/or the hot-key cache. Queries are pure, and every
-        // cached verdict carries the current mutation epoch, so the
-        // per-slot answers (and hence the observable fp set) are
-        // bit-identical to the baseline probe.
-        q.verdicts.clear();
-        q.verdicts.resize(keys.len(), false);
-        if self.coalesce {
-            self.coalesced_verdicts(keys, q);
-        } else {
-            self.cached_verdicts(keys, q);
-        }
-        self.stats.record_flush(keys.len(), t0.elapsed());
-        let n_hits = q.verdicts.iter().filter(|&&h| h).count() as u64;
-        self.stats.query_hits.fetch_add(n_hits, Ordering::Relaxed);
-        for (p, &hit) in run.zip(q.verdicts.iter()) {
-            self.record_latency(&p);
-            p.ack.fulfill(hit);
-        }
-    }
-
-    /// Sort-dedup the run's keys (the CPU-side sibling of the bulk
-    /// pipeline's partition/sort phases), resolve each distinct key once,
-    /// and fan the verdicts back to the original slots.
-    fn coalesced_verdicts(&self, keys: &[u64], q: &mut QueryScratch) {
-        q.pairs.clear();
-        q.pairs.extend(keys.iter().enumerate().map(|(slot, &k)| (k, slot as u32)));
-        q.pairs.sort_unstable();
-        q.distinct.clear();
-        let mut i = 0;
-        while i < q.pairs.len() {
-            let k = q.pairs[i].0;
-            q.distinct.push(k);
-            while i < q.pairs.len() && q.pairs[i].0 == k {
-                i += 1;
-            }
-        }
-        let dups = (keys.len() - q.distinct.len()) as u64;
-        if dups > 0 {
-            self.stats.coalesced_keys.fetch_add(dups, Ordering::Relaxed);
-        }
-        self.stats.record_distinct_ratio(q.distinct.len(), keys.len());
-        self.probe_distinct(q);
-        let (mut i, mut di) = (0, 0);
-        while i < q.pairs.len() {
-            let k = q.pairs[i].0;
-            let v = q.dverdict[di];
-            while i < q.pairs.len() && q.pairs[i].0 == k {
-                q.verdicts[q.pairs[i].1 as usize] = v;
-                i += 1;
-            }
-            di += 1;
-        }
-    }
-
-    /// Resolve `q.distinct` into `q.dverdict`: consult the hot-key cache
-    /// first (when armed), then settle the misses with one backend bulk
-    /// probe and feed the fresh verdicts back into the cache.
-    fn probe_distinct(&self, q: &mut QueryScratch) {
-        let QueryScratch { distinct, dverdict, miss_pos, miss_keys, .. } = q;
-        dverdict.clear();
-        dverdict.resize(distinct.len(), false);
-        let Some(cache) = &self.cache else {
-            let hits = self.backend().bulk_query_vec(distinct);
-            dverdict.copy_from_slice(&hits);
-            return;
-        };
-        let hits = cache.lookup_batch(distinct, dverdict, miss_pos, miss_keys);
-        self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.stats.cache_misses.fetch_add(miss_keys.len() as u64, Ordering::Relaxed);
-        if miss_keys.is_empty() {
-            return;
-        }
-        let probed = self.backend().bulk_query_vec(miss_keys);
-        for (&pos, &hit) in miss_pos.iter().zip(&probed) {
-            dverdict[pos as usize] = hit;
-        }
-        cache.store_batch(miss_keys, &probed);
-    }
-
-    /// Cache-only fast path (coalescing off): resolve the run in arrival
-    /// order, probing cache misses — duplicates included — in one bulk
-    /// call.
-    fn cached_verdicts(&self, keys: &[u64], q: &mut QueryScratch) {
-        let cache = self.cache.as_ref().expect("cached_verdicts requires an armed cache");
-        let QueryScratch { verdicts, miss_pos, miss_keys, .. } = q;
-        let hits = cache.lookup_batch(keys, verdicts, miss_pos, miss_keys);
-        self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.stats.cache_misses.fetch_add(miss_keys.len() as u64, Ordering::Relaxed);
-        if miss_keys.is_empty() {
-            return;
-        }
-        let probed = self.backend().bulk_query_vec(miss_keys);
-        for (&pos, &hit) in miss_pos.iter().zip(&probed) {
-            verdicts[pos as usize] = hit;
-        }
-        cache.store_batch(miss_keys, &probed);
-    }
-
-    fn flush_deletes(&self, keys: &[u64], run: std::vec::Drain<'_, Pending>) {
-        let Some(hooks) = self.delete_fn else {
-            // Unreachable through the public API (handles refuse deletes on
-            // a non-deletable service); dropping the acks aborts waiters.
-            drop(run);
-            return;
-        };
-        // Fully pipelined runs read no per-key answers; keep them on the
-        // cheaper aggregate path.
-        let wants_acks = run.as_slice().iter().any(|p| p.ack.wants_report());
-        if !wants_acks {
-            let t0 = Instant::now();
-            if (hooks.aggregate)(&self.backend(), keys).is_err() {
-                self.stats.delete_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
-            }
-            self.stats.record_flush(keys.len(), t0.elapsed());
-            for p in run {
-                self.record_latency(&p);
-            }
-            return;
-        }
-        // The backend's per-key delete outcomes answer each blocking
-        // caller directly — the pre-query round trip the old aggregate
-        // API forced is gone, halving the backend work of a blocking
-        // delete batch.
-        let mut outcomes = vec![DeleteOutcome::NotFound; keys.len()];
-        let t0 = Instant::now();
-        let deleted = (hooks.report)(&self.backend(), keys, &mut outcomes);
-        self.stats.record_flush(keys.len(), t0.elapsed());
-        if deleted.is_err() {
-            // The backend refused the whole batch: nothing was removed.
-            // Report "not removed" to blocking callers and account the
-            // failure.
-            self.stats.delete_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
-            for p in run {
-                self.record_latency(&p);
-                p.ack.fulfill(false);
-            }
-            return;
-        }
-        for (p, outcome) in run.zip(outcomes) {
-            self.record_latency(&p);
-            p.ack.fulfill(outcome.removed());
-        }
-    }
-}
-
-/// A cheap, cloneable submission handle onto a [`ShardedFilter`].
-///
-/// Handles are deliberately not generic over the backend, so application
-/// code routing traffic into the service does not need to name the filter
-/// type. Handles reference the service's *shared* routing state, so a
-/// live resize ([`ShardedFilter::set_shards`]) transparently redirects
-/// every handle — cloned before or after the resize — to the new shard
-/// fleet.
-#[derive(Clone)]
-pub struct ServiceHandle {
-    ring: Arc<RwLock<RouteState>>,
-    stats: Arc<StatsInner>,
-    deletes: bool,
-}
-
-impl ServiceHandle {
-    /// Read-lock the routing state: one consistent (senders, router)
-    /// view per operation. Held across route + send so a concurrent
-    /// resize can never split an operation between fleets; dropped
-    /// before any gate wait so draining workers (which never take this
-    /// lock) can make progress.
-    fn route_state(&self) -> RwLockReadGuard<'_, RouteState> {
-        self.ring.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Enqueue a task; on success, credit its operations to `accepted`
-    /// (an operation rejected at the queue counts only as rejected, never
-    /// as accepted).
-    fn send(
-        &self,
-        rs: &RouteState,
-        shard: usize,
-        task: Task,
-        accepted: Option<&std::sync::atomic::AtomicU64>,
-    ) -> Result<(), FilterError> {
-        let n = task.ops();
-        self.stats.enqueued(n);
-        // A stopped service has drained its senders; a routed shard index
-        // with no sender means "stopped", never a panic.
-        let Some(sender) = rs.senders.get(shard) else {
-            self.stats.dequeued(n);
-            self.stats.rejected.fetch_add(n, Ordering::Relaxed);
-            return Err(FilterError::ServiceStopped);
-        };
-        match sender.send(task) {
-            Ok(()) => {
-                if let Some(counter) = accepted {
-                    counter.fetch_add(n, Ordering::Relaxed);
-                }
-                Ok(())
-            }
-            Err(_) => {
-                self.stats.dequeued(n);
-                self.stats.rejected.fetch_add(n, Ordering::Relaxed);
-                Err(FilterError::ServiceStopped)
-            }
-        }
-    }
-
-    /// Insert one key, parking until its batch flushes. Returns
-    /// `Err(Full)` when the owning shard's backend rejected the key and
-    /// `Err(ServiceStopped)` when the service shut down first.
-    pub fn insert(&self, key: u64) -> Result<(), FilterError> {
-        let gate = OpGate::new(1);
-        let ack = Ack::Insert(InsertAck::new(Arc::clone(&gate)));
-        {
-            let rs = self.route_state();
-            let shard = rs.router.route(key);
-            self.send(
-                &rs,
-                shard,
-                Task::One(Pending::insert(key, Instant::now(), ack)),
-                Some(&self.stats.inserts),
-            )?;
-        }
-        match gate.wait() {
-            (_, aborted) if aborted > 0 => Err(FilterError::ServiceStopped),
-            (0, _) => Ok(()),
-            _ => Err(FilterError::Full),
-        }
-    }
-
-    /// Query one key, parking until its batch flushes. Reports `false`
-    /// (definitely absent) if the service stopped; use [`Self::query`] to
-    /// distinguish.
-    pub fn contains(&self, key: u64) -> bool {
-        self.query(key).unwrap_or(false)
-    }
-
-    /// Query one key; `Err(ServiceStopped)` if the service shut down.
-    pub fn query(&self, key: u64) -> Result<bool, FilterError> {
-        let gate = QueryGate::new(1);
-        let ack = Ack::Slot(QueryAck::new(Arc::clone(&gate), 0));
-        {
-            let rs = self.route_state();
-            let shard = rs.router.route(key);
-            self.send(
-                &rs,
-                shard,
-                Task::One(Pending::query(key, Instant::now(), ack)),
-                Some(&self.stats.queries),
-            )?;
-        }
-        match gate.wait() {
-            (_, aborted) if aborted > 0 => Err(FilterError::ServiceStopped),
-            (results, _) => Ok(results[0]),
-        }
-    }
-
-    /// Remove one previously-inserted key; `Ok(true)` when a matching
-    /// fingerprint was present. Requires a service built with
-    /// [`ShardedFilterBuilder::build_deletable`]. If the backend refuses
-    /// the delete batch with an error, nothing is removed: the call
-    /// reports `Ok(false)` and the failure is counted in
-    /// [`ServiceStats::delete_failures`](crate::ServiceStats).
-    pub fn remove(&self, key: u64) -> Result<bool, FilterError> {
-        if !self.deletes {
-            return Err(FilterError::Unsupported("service built without deletes"));
-        }
-        let gate = QueryGate::new(1);
-        let ack = Ack::Slot(QueryAck::new(Arc::clone(&gate), 0));
-        {
-            let rs = self.route_state();
-            let shard = rs.router.route(key);
-            self.send(
-                &rs,
-                shard,
-                Task::One(Pending::delete(key, Instant::now(), ack)),
-                Some(&self.stats.deletes),
-            )?;
-        }
-        match gate.wait() {
-            (_, aborted) if aborted > 0 => Err(FilterError::ServiceStopped),
-            (results, _) => Ok(results[0]),
-        }
-    }
-
-    /// Insert a batch, parking until every key's flush completes. Returns
-    /// the number of keys the backends rejected (0 on full success),
-    /// mirroring [`filter_core::BulkFilter::bulk_insert`].
-    pub fn insert_batch(&self, keys: &[u64]) -> Result<usize, FilterError> {
-        if keys.is_empty() {
-            return Ok(0);
-        }
-        let gate = OpGate::new(keys.len());
-        let at = Instant::now();
-        let mut send_failed = false;
-        {
-            let rs = self.route_state();
-            let (by_shard, _) = rs.router.partition(keys);
-            for (shard, shard_keys) in by_shard.into_iter().enumerate() {
-                if shard_keys.is_empty() {
-                    continue;
-                }
-                let ops: Vec<Pending> = shard_keys
-                    .into_iter()
-                    .map(|k| Pending::insert(k, at, Ack::Insert(InsertAck::new(Arc::clone(&gate)))))
-                    .collect();
-                send_failed |=
-                    self.send(&rs, shard, Task::Many(ops), Some(&self.stats.inserts)).is_err();
-            }
-        }
-        let (failures, aborted) = gate.wait();
-        if send_failed || aborted > 0 {
-            return Err(FilterError::ServiceStopped);
-        }
-        Ok(failures)
-    }
-
-    /// Query a batch, parking until flushed; `out[i]` answers `keys[i]`.
-    pub fn query_batch(&self, keys: &[u64]) -> Result<Vec<bool>, FilterError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let gate = QueryGate::new(keys.len());
-        let at = Instant::now();
-        let mut send_failed = false;
-        {
-            let rs = self.route_state();
-            let (by_shard, positions) = rs.router.partition(keys);
-            for (shard, (shard_keys, pos)) in by_shard.into_iter().zip(positions).enumerate() {
-                if shard_keys.is_empty() {
-                    continue;
-                }
-                let ops: Vec<Pending> = shard_keys
-                    .into_iter()
-                    .zip(pos)
-                    .map(|(k, p)| {
-                        Pending::query(k, at, Ack::Slot(QueryAck::new(Arc::clone(&gate), p)))
-                    })
-                    .collect();
-                send_failed |=
-                    self.send(&rs, shard, Task::Many(ops), Some(&self.stats.queries)).is_err();
-            }
-        }
-        let (results, aborted) = gate.wait();
-        if send_failed || aborted > 0 {
-            return Err(FilterError::ServiceStopped);
-        }
-        Ok(results)
-    }
-
-    /// Delete a batch, parking until flushed; returns how many keys were
-    /// *not* present (mirroring [`filter_core::BulkDeletable`]). Keys in
-    /// a backend-refused delete batch count as not present and are
-    /// recorded in [`ServiceStats::delete_failures`](crate::ServiceStats).
-    pub fn delete_batch(&self, keys: &[u64]) -> Result<usize, FilterError> {
-        if !self.deletes {
-            return Err(FilterError::Unsupported("service built without deletes"));
-        }
-        if keys.is_empty() {
-            return Ok(0);
-        }
-        let gate = QueryGate::new(keys.len());
-        let at = Instant::now();
-        let mut send_failed = false;
-        {
-            let rs = self.route_state();
-            let (by_shard, positions) = rs.router.partition(keys);
-            for (shard, (shard_keys, pos)) in by_shard.into_iter().zip(positions).enumerate() {
-                if shard_keys.is_empty() {
-                    continue;
-                }
-                let ops: Vec<Pending> = shard_keys
-                    .into_iter()
-                    .zip(pos)
-                    .map(|(k, p)| {
-                        Pending::delete(k, at, Ack::Slot(QueryAck::new(Arc::clone(&gate), p)))
-                    })
-                    .collect();
-                send_failed |=
-                    self.send(&rs, shard, Task::Many(ops), Some(&self.stats.deletes)).is_err();
-            }
-        }
-        let (results, aborted) = gate.wait();
-        if send_failed || aborted > 0 {
-            return Err(FilterError::ServiceStopped);
-        }
-        Ok(results.iter().filter(|&&found| !found).count())
-    }
-
-    /// Fire-and-forget insert: enqueue and return. Failures surface only
-    /// in [`ServiceStats::insert_failures`]; call [`Self::barrier`] to
-    /// bound completion.
-    pub fn insert_pipelined(&self, key: u64) -> Result<(), FilterError> {
-        let rs = self.route_state();
-        let shard = rs.router.route(key);
-        self.send(
-            &rs,
-            shard,
-            Task::One(Pending::insert(key, Instant::now(), Ack::Fire)),
-            Some(&self.stats.inserts),
-        )
-    }
-
-    /// Fire-and-forget batch insert (pre-routed, no completion gate).
-    pub fn insert_batch_pipelined(&self, keys: &[u64]) -> Result<(), FilterError> {
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let at = Instant::now();
-        let rs = self.route_state();
-        let (by_shard, _) = rs.router.partition(keys);
-        for (shard, shard_keys) in by_shard.into_iter().enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let ops: Vec<Pending> =
-                shard_keys.into_iter().map(|k| Pending::insert(k, at, Ack::Fire)).collect();
-            self.send(&rs, shard, Task::Many(ops), Some(&self.stats.inserts))?;
-        }
-        Ok(())
-    }
-
-    /// Fire-and-forget batch delete (window expiry in streaming dedup and
-    /// similar). Requires delete support.
-    pub fn delete_batch_pipelined(&self, keys: &[u64]) -> Result<(), FilterError> {
-        if !self.deletes {
-            return Err(FilterError::Unsupported("service built without deletes"));
-        }
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let at = Instant::now();
-        let rs = self.route_state();
-        let (by_shard, _) = rs.router.partition(keys);
-        for (shard, shard_keys) in by_shard.into_iter().enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let ops: Vec<Pending> =
-                shard_keys.into_iter().map(|k| Pending::delete(k, at, Ack::Fire)).collect();
-            self.send(&rs, shard, Task::Many(ops), Some(&self.stats.deletes))?;
-        }
-        Ok(())
-    }
-
-    /// Submit a batch asynchronously: enqueue every key and return
-    /// without parking; `on_done` fires exactly once — on a shard worker
-    /// thread — when every key has flushed, carrying per-key answers in
-    /// submission order.
-    ///
-    /// This is the network reactor's bridge into the service: the reactor
-    /// thread never blocks on a completion gate, and the callback hands
-    /// the finished [`BatchReport`] back to it (e.g. over a channel).
-    /// `op` must be a data operation ([`OpKind::is_data`]); deletes
-    /// additionally require a deletable service. On `Err` nothing was
-    /// enqueued and the callback never fires (except the trivial
-    /// empty-batch case, which fires it synchronously). After a
-    /// successful return the callback *always* fires eventually: if the
-    /// service stops mid-flight the dropped slots surface as
-    /// [`BatchReport::aborted`] rather than a lost response.
-    ///
-    /// Note the enqueue itself still honors backpressure — a full shard
-    /// queue blocks this call until the worker drains it, exactly like
-    /// the parking submission paths.
-    pub fn submit_batch(
-        &self,
-        op: OpKind,
-        keys: &[u64],
-        on_done: impl FnOnce(BatchReport) + Send + 'static,
-    ) -> Result<(), FilterError> {
-        let (kind, counter) = match op {
-            OpKind::Insert => (KIND_INSERT, &self.stats.inserts),
-            OpKind::Query => (KIND_QUERY, &self.stats.queries),
-            OpKind::Delete if self.deletes => (KIND_DELETE, &self.stats.deletes),
-            OpKind::Delete => {
-                return Err(FilterError::Unsupported("service built without deletes"))
-            }
-            _ => return Err(FilterError::Unsupported("submit_batch serves data ops only")),
-        };
-        if keys.is_empty() {
-            on_done(BatchReport { results: Vec::new(), aborted: 0 });
-            return Ok(());
-        }
-        let gate = AsyncGate::new(keys.len(), Box::new(on_done));
-        let at = Instant::now();
-        let rs = self.route_state();
-        let (by_shard, positions) = rs.router.partition(keys);
-        for (shard, (shard_keys, pos)) in by_shard.into_iter().zip(positions).enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let ops: Vec<Pending> = shard_keys
-                .into_iter()
-                .zip(pos)
-                .map(|(k, p)| Pending {
-                    kind,
-                    key: k,
-                    at,
-                    ack: Ack::Async(AsyncAck::new(Arc::clone(&gate), p)),
-                })
-                .collect();
-            // A refused send (service stopped) drops the ops, aborting
-            // their slots — the callback still fires, with `aborted`
-            // accounting for them. Single-path reporting, no double error.
-            let _ = self.send(&rs, shard, Task::Many(ops), Some(counter));
-        }
-        Ok(())
-    }
-
-    /// Park until every operation enqueued (by any handle) before this
-    /// call has been flushed on every shard.
-    pub fn barrier(&self) -> Result<(), FilterError> {
-        let (gate, send_failed) = {
-            let rs = self.route_state();
-            // A stopped service has no senders left; a zero-fence barrier
-            // would report success for work that never flushed.
-            if rs.senders.is_empty() {
-                return Err(FilterError::ServiceStopped);
-            }
-            let gate = OpGate::new(rs.senders.len());
-            let mut send_failed = false;
-            for shard in 0..rs.senders.len() {
-                let ack = InsertAck::new(Arc::clone(&gate));
-                send_failed |= self.send(&rs, shard, Task::Barrier(ack), None).is_err();
-            }
-            (gate, send_failed)
-        };
-        let (_, aborted) = gate.wait();
-        if send_failed || aborted > 0 {
-            return Err(FilterError::ServiceStopped);
-        }
-        Ok(())
-    }
-
-    /// Whether this service supports delete operations.
-    pub fn supports_delete(&self) -> bool {
-        self.deletes
-    }
-
-    /// The router currently in use (e.g. to co-locate auxiliary
-    /// per-shard state). By value: a resize replaces the live router,
-    /// so cache this only for as long as the shard count is known stable.
-    pub fn router(&self) -> ServiceRouter {
-        self.route_state().router.clone()
-    }
-}
-
-/// A cheap, cloneable observe-and-tune handle onto a service.
-///
-/// Where [`ServiceHandle`] submits traffic, `ServiceControl` watches and
-/// steers: live queue depth and accepted-operation counts (rate
-/// estimation), full [`ServiceStats`] snapshots, and the batch linger —
-/// readable and *writable at runtime*, the knob the adaptive network
-/// tier turns to trade batch amortization against tail latency. Like
-/// handles, it is not generic over the backend type.
-#[derive(Clone)]
-pub struct ServiceControl {
-    ring: Arc<RwLock<RouteState>>,
-    stats: Arc<StatsInner>,
-    linger_ns: Arc<AtomicU64>,
-    started: Instant,
-}
-
-impl ServiceControl {
-    /// Current number of shards (live resizes change it).
-    pub fn shards(&self) -> usize {
-        self.ring.read().unwrap_or_else(|e| e.into_inner()).router.shards()
-    }
-
-    /// Operations currently queued across all shards.
-    pub fn queue_depth(&self) -> u64 {
-        self.stats.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Total operations accepted so far (inserts + queries + deletes) —
-    /// the monotone counter controllers difference for arrival rates.
-    pub fn ops_accepted(&self) -> u64 {
-        let o = Ordering::Relaxed;
-        self.stats.inserts.load(o) + self.stats.queries.load(o) + self.stats.deletes.load(o)
-    }
-
-    /// The batch linger currently in force.
-    pub fn linger(&self) -> Duration {
-        Duration::from_nanos(self.linger_ns.load(Ordering::Relaxed))
-    }
-
-    /// Retune the batch linger live; each shard worker picks it up the
-    /// next time it arms a flush deadline.
-    pub fn set_linger(&self, linger: Duration) {
-        self.linger_ns.store(linger.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the service metrics.
-    pub fn stats(&self) -> ServiceStats {
-        ServiceStats::snapshot(&self.stats, self.shards(), self.started.elapsed())
-    }
 }
 
 /// A sharded, batch-aggregating serving front-end over `N` independent
@@ -1745,7 +419,7 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
 
     /// The router currently mapping keys to shards (by value: resizes
     /// replace it).
-    pub fn router(&self) -> ServiceRouter {
+    pub fn router(&self) -> RingRouter {
         self.route_state().router.clone()
     }
 
@@ -1774,10 +448,8 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
 
     /// Live elastic resize: move the fleet to `new_shards` — more
     /// (scale-out) or fewer (scale-in) — migrating contents by merging so
-    /// no acknowledged key loses its membership answer. Under the default
-    /// ring routing *any* resize sequence is valid (4 → 6 → 3 → 8 …);
-    /// under [`ShardedFilterBuilder::splitmix_routing`] one count must
-    /// divide the other (the only family whose splitmix ranges nest).
+    /// no acknowledged key loses its membership answer. *Any* resize
+    /// sequence is valid (4 → 6 → 3 → 8 …).
     ///
     /// `make(shard_index)` builds the new backends (size them with
     /// [`ShardedFilterBuilder::shard_spec`] over the *new* shard count,
@@ -1788,7 +460,7 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
     /// Correctness under concurrent traffic: intake pauses (handles block
     /// on the shared routing state) while the old workers drain and stop,
     /// so no enqueued operation is lost and blocking callers are answered
-    /// before migration begins. [`ServiceRouter::inheritors`] then names,
+    /// before migration begins. [`RingRouter::inheritors`] then names,
     /// for every new shard, exactly the old backends whose key-space arcs
     /// it takes over — on a scale-out mostly its own predecessor, on a
     /// scale-in additionally the decommissioned shards' arcs, which the
@@ -1834,14 +506,6 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
                 "set_shards: shard count must be positive".to_string(),
             ));
         }
-        let counts_nest =
-            new_shards.is_multiple_of(old_shards) || old_shards.is_multiple_of(new_shards);
-        if !self.cfg.ring_routing && !counts_nest {
-            return Err(FilterError::BadConfig(format!(
-                "set_shards: splitmix routing resizes only when one shard count divides the \
-                 other ({old_shards} → {new_shards}); the default ring routing lifts this"
-            )));
-        }
         let grow_factor = hooks.auto.map(|(_, f)| f).unwrap_or(2);
 
         // Build the new fleet and router before pausing intake.
@@ -1872,7 +536,7 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
         // whose arcs it takes over), plus the movement estimate for the
         // ledger — measured routing churn on a deterministic key probe,
         // scaled by the old fleet's estimated live item count.
-        let inherit = ServiceRouter::inheritors(&rs.router, &new_router);
+        let inherit = RingRouter::inheritors(&rs.router, &new_router);
         let moved_fraction = rs.router.moved_fraction(&new_router, MOVE_PROBE_KEYS);
         let est_items: f64 = self
             .backends
@@ -1948,15 +612,6 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
         Ok(())
     }
 
-    /// Alias of [`Self::set_shards`], kept from when live resizing could
-    /// only multiply the fleet.
-    pub fn resize_shards<F>(&mut self, new_shards: usize, make: F) -> Result<(), FilterError>
-    where
-        F: FnMut(usize) -> Result<B, FilterError>,
-    {
-        self.set_shards(new_shards, make)
-    }
-
     /// Stop accepting work, flush every shard, join the workers, and hand
     /// back the backends (e.g. to persist or merge them). Outstanding
     /// handles observe [`FilterError::ServiceStopped`] afterwards; their
@@ -1990,6 +645,7 @@ impl<B: ServiceBackend + 'static> Drop for ShardedFilter<B> {
 #[cfg(test)]
 mod async_tests {
     use super::*;
+    use filter_core::OpKind;
     use std::sync::mpsc;
     use tcf::BulkTcf;
 
@@ -2161,10 +817,8 @@ mod builder_tests {
         let b = ShardedFilterBuilder::new();
         assert!(b.coalesce, "coalescing defaults on");
         assert_eq!(b.cache_entries, 0, "cache defaults off");
-        assert!(b.pool_scratch, "scratch pooling defaults on");
-        let b = b.coalesce_queries(false).query_cache(512).pool_scratch(false);
+        let b = b.coalesce_queries(false).query_cache(512);
         assert!(!b.coalesce);
         assert_eq!(b.cache_entries, 512);
-        assert!(!b.pool_scratch);
     }
 }

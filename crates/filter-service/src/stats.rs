@@ -177,11 +177,13 @@ fn lat_bucket_mid(i: usize) -> u64 {
 }
 
 impl LatencyRecorder {
-    pub fn record(&self, elapsed: Duration) {
+    /// Record `n` samples of the same latency (the keys of one request
+    /// share their submission and answer instants).
+    pub fn record(&self, elapsed: Duration, n: u64) {
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        self.buckets[lat_bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.buckets[lat_bucket_of(ns)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns * n, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
@@ -582,14 +584,10 @@ mod tests {
         // 1000 samples: 988 at ~100µs, 10 at ~5ms, 2 at ~50ms — nearest
         // rank puts p50 in the first mode, p99 in the second, p999 in the
         // third.
-        for _ in 0..988 {
-            rec.record(Duration::from_micros(100));
-        }
-        for _ in 0..10 {
-            rec.record(Duration::from_millis(5));
-        }
-        rec.record(Duration::from_millis(50));
-        rec.record(Duration::from_millis(50));
+        rec.record(Duration::from_micros(100), 988);
+        rec.record(Duration::from_millis(5), 10);
+        rec.record(Duration::from_millis(50), 1);
+        rec.record(Duration::from_millis(50), 1);
         let s = rec.snapshot();
         assert_eq!(s.count, 1000);
         let close = |d: Duration, target_us: u64| {

@@ -1,10 +1,10 @@
-//! Property tests for the routing layer (splitmix baseline and the
-//! consistent-hash ring) and its end-to-end guarantee: routing is a
+//! Property tests for the routing layer (the consistent-hash ring) and
+//! its end-to-end guarantee: routing is a
 //! deterministic function of the key, shards partition the key space,
 //! ring loads are near-uniform, resizes move a bounded key fraction, and
 //! membership through a sharded service never yields false negatives.
 
-use filter_service::{RingRouter, ShardRouter, ShardedFilterBuilder};
+use filter_service::{RingRouter, ShardedFilterBuilder};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tcf::BulkTcf;
@@ -17,24 +17,12 @@ fn probe_keys(m: u64) -> impl Iterator<Item = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The route is a pure function of (key, shard count, seed): two
-    /// independently constructed routers always agree.
-    #[test]
-    fn routing_is_deterministic(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
-        let a = ShardRouter::new(shards);
-        let b = ShardRouter::new(shards);
-        for &k in &keys {
-            prop_assert_eq!(a.route(k), b.route(k));
-            prop_assert_eq!(a.route(k), a.route(k));
-        }
-    }
-
     /// Shards partition the key space: every key routes to exactly one
     /// in-range shard, and partition() scatters each key to exactly that
     /// shard with its input position preserved.
     #[test]
     fn shards_partition_the_key_space(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
-        let r = ShardRouter::new(shards);
+        let r = RingRouter::new(shards);
         let (by_shard, positions) = r.partition(&keys);
         prop_assert_eq!(by_shard.len(), shards);
         let total: usize = by_shard.iter().map(|v| v.len()).sum();
@@ -65,7 +53,7 @@ proptest! {
     }
 
     /// The ring's partition() agrees with route() and preserves input
-    /// positions, exactly like the splitmix baseline.
+    /// positions.
     #[test]
     fn ring_partition_matches_route(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
         let r = RingRouter::new(shards);

@@ -4,7 +4,7 @@
 //! against all three.
 
 use baselines::BlockedBloomFilter;
-use filter_core::{hashed_keys, FilterError, ServiceBackend};
+use filter_core::{hashed_keys, FilterError, OpKind, ServiceBackend};
 use filter_service::{ShardedFilter, ShardedFilterBuilder};
 use gqf::BulkGqf;
 use std::time::Duration;
@@ -178,6 +178,82 @@ fn full_backend_reports_insert_failures() {
     }
     assert!(saw_full, "a 256-slot TCF cannot absorb 2000 keys");
     assert!(service.stats().insert_failures > 0);
+}
+
+#[test]
+fn every_waiter_kind_sees_the_same_insert_outcomes() {
+    // Four fresh one-shard services over a tiny TCF, one per waiter kind,
+    // fed the same overfilling stream in 64-key flushes: the point, batch,
+    // callback and pipelined paths must agree on which keys the backend
+    // rejected. Which keys a full bulk TCF rejects depends on the flush's
+    // key order, so the point path sends each chunk from 64 callers
+    // admitted one at a time, and a long linger keeps the worker from
+    // flushing a chunk early.
+    let fresh = |linger| {
+        ShardedFilterBuilder::new()
+            .shards(1)
+            .batch_capacity(64)
+            .linger(linger)
+            .build(|_| BulkTcf::new(256))
+            .unwrap()
+    };
+    let services = [
+        fresh(Duration::from_secs(60)),
+        fresh(Duration::from_micros(50)),
+        fresh(Duration::from_micros(50)),
+        fresh(Duration::from_micros(50)),
+    ];
+    let [point, batch, callback, pipelined] = services.each_ref().map(|s| s.handle());
+    let point_ctl = services[0].control();
+    let keys = hashed_keys(56, 2000);
+
+    let (mut point_full, mut callback_full) = (Vec::new(), Vec::new());
+    for chunk in keys.chunks(64) {
+        let base = point_ctl.ops_accepted();
+        let admitted = |i: usize| point_ctl.ops_accepted() >= base + i as u64;
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..chunk.len())
+                .map(|i| {
+                    let (point, admitted) = (&point, &admitted);
+                    s.spawn(move || {
+                        while !admitted(i) {
+                            std::thread::yield_now();
+                        }
+                        point.insert(chunk[i])
+                    })
+                })
+                .collect();
+            // A short last chunk is flushed by the fence, not the linger.
+            while !admitted(chunk.len()) {
+                std::thread::yield_now();
+            }
+            point.barrier().unwrap();
+            for (caller, &k) in callers.into_iter().zip(chunk) {
+                point_full.push(match caller.join().unwrap() {
+                    Ok(()) => false,
+                    Err(FilterError::Full) => true,
+                    Err(e) => panic!("point insert of {k:#x}: {e}"),
+                });
+            }
+        });
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        callback.submit_batch(OpKind::Insert, chunk, move |r| tx.send(r).unwrap()).unwrap();
+        let report = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(report.aborted, 0);
+        let chunk_full: Vec<bool> = report.results.iter().map(|&ok| !ok).collect();
+        let failed = batch.insert_batch(chunk).unwrap();
+        assert_eq!(failed, chunk_full.iter().filter(|&&full| full).count());
+        callback_full.extend(chunk_full);
+        pipelined.insert_batch_pipelined(chunk).unwrap();
+    }
+    pipelined.barrier().unwrap();
+    assert_eq!(point_full, callback_full, "point and callback paths disagree on rejected keys");
+
+    let expect = point_full.iter().filter(|&&full| full).count() as u64;
+    assert!(expect > 0, "a 256-slot TCF cannot absorb 2000 keys");
+    let failures = services.each_ref().map(|s| s.stats().insert_failures);
+    assert_eq!(failures, [expect; 4], "insert_failures per waiter kind");
 }
 
 #[test]

@@ -48,7 +48,6 @@ fn base_builder() -> ShardedFilterBuilder {
         .linger(Duration::from_micros(200))
         .coalesce_queries(false)
         .query_cache(0)
-        .pool_scratch(false)
 }
 
 /// Drive an identical randomized mixed trace through both arms and demand
