@@ -9,10 +9,10 @@
 //! orders of magnitude behind the other filters in Fig. 4.
 //!
 //! The occupied/runend metadata scans live in [`GqfCore`], which this
-//! baseline shares with the GQF/SQF: under the `swar` switch those walks
-//! run word-at-a-time (`count_ones` rank + select-in-word) via the
-//! scalar/SWAR twins in `gqf::bits`, so the RSQF inherits the
-//! branch-light path without any code of its own.
+//! baseline shares with the GQF/SQF: a lookup is one word-at-a-time
+//! rank over the occupieds and one select over the continuations
+//! (`count_ones` rank + select-in-word, `gqf::bits`), so the RSQF
+//! inherits the rank-select path without any code of its own.
 
 use filter_core::{
     ApiMode, BulkFilter, Features, FilterError, FilterMeta, FilterSpec, InsertOutcome, Operation,

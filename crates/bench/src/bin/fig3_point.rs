@@ -94,14 +94,15 @@ fn main() {
         }
     }
 
-    // SWAR sweep: the same point kernels with the word-at-a-time scan
-    // twins toggled off (scalar reference) and on, at the largest sweep
-    // size on the primary (Cori) device. Rows carry a `swar` metric of
-    // 0.0/1.0; readers diff the pos-query rows per kind for the measured
-    // speedup. Each kind's random-probe hit count is asserted identical
-    // across arms — the SWAR kernels must not change the false-positive
-    // set. (The BBF has no dispatched kernel — its block test is already
-    // a single mask comparison — so its pair doubles as a control.)
+    // SWAR sweep: the same point kernels with the SWAR switch toggled off
+    // (scalar reference) and on, at the largest sweep size on the primary
+    // (Cori) device. Rows carry a `swar` metric of 0.0/1.0; readers diff
+    // the TCF pos-query rows for the measured speedup. Each kind's
+    // random-probe hit count is asserted identical across arms — the
+    // SWAR kernels must not change the false-positive set. The switch
+    // selects only the TCF block kernels, so the GQF and BBF row pairs
+    // are control pairs: the GQF's metadata walks are word-at-a-time in
+    // both arms, and the BBF's block test is a single mask comparison.
     let swar_kinds: [(FilterKind, u32, f64); 3] = [
         (FilterKind::TcfPoint, 4, 5e-4),
         (FilterKind::GqfPoint, 1, 4e-3),

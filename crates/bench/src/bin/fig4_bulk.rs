@@ -161,13 +161,15 @@ fn main() {
         Json::Arr(threads_sweep.iter().map(|&t| Json::num(f64::from(t))).collect()),
     );
 
-    // SWAR sweep: the same bulk batch with the word-at-a-time scan twins
-    // toggled off (scalar reference) and on, at the largest sweep size on
-    // the primary (Cori) device. Rows carry a `swar` metric of 0.0/1.0;
-    // readers diff the insert/pos-query rows per kind for the measured
-    // speedup. Each kind's random-probe hit count is asserted identical
-    // across arms — the SWAR kernels must not change the false-positive
-    // set. (The RSQF rides on the GqfCore metadata walks.)
+    // SWAR sweep: the same bulk batch with the SWAR switch toggled off
+    // (scalar reference) and on, at the largest sweep size on the primary
+    // (Cori) device. Rows carry a `swar` metric of 0.0/1.0; readers diff
+    // the TCF insert/pos-query rows for the measured speedup. Each kind's
+    // random-probe hit count is asserted identical across arms — the
+    // SWAR kernels must not change the false-positive set. The switch
+    // selects only the TCF block kernels, so the GQF and RSQF row pairs
+    // are control pairs: both run the GqfCore metadata walks, which are
+    // word-at-a-time in either arm.
     let swar_kinds: [(FilterKind, f64); 3] =
         [(FilterKind::TcfBulk, 4e-3), (FilterKind::GqfBulk, 4e-3), (FilterKind::Rsqf, 4e-2)];
     let fresh = hashed_keys(2100 + s as u64, n);

@@ -1,5 +1,5 @@
 //! SWAR lane kernels: branch-light u64 "SIMD within a register" primitives
-//! for the filter crates' block-probe and metadata-scan hot paths.
+//! for the TCF's block-probe and block-scan hot paths.
 //!
 //! Every kernel here is *exact* — no cross-lane carry or borrow artifacts —
 //! because the filter kernels built on top must stay bit-identical to their
@@ -21,9 +21,11 @@
 //!
 //! ## Runtime switch
 //!
-//! The filter kernels keep their scalar loops as the reference
-//! implementation and consult [`enabled`] to pick the SWAR twin. The
-//! default comes from the `swar` cargo feature; [`set_enabled`] lets a
+//! The switch selects only the TCF block kernels: they keep their scalar
+//! loops as the reference implementation and consult [`enabled`] to pick
+//! the SWAR twin. (The GQF's metadata walks are word-at-a-time always and
+//! do not read the switch.) The default comes from the `swar` cargo
+//! feature; [`set_enabled`] lets a
 //! single-threaded bench binary flip the switch at runtime to record
 //! scalar-vs-SWAR rows in one process. Tests must *not* toggle the global
 //! switch (the test harness is multi-threaded) — they call the twin

@@ -57,7 +57,7 @@ impl<'a> Tracked<'a> {
     }
 
     /// Read the whole 64-slot backing word containing `slot` (for 1-bit
-    /// buffers: 64 metadata bits at once — the SWAR twins' data path),
+    /// buffers: 64 metadata bits at once — the metadata walks' data path),
     /// charging a line load exactly like a slot read on the same line.
     #[inline]
     pub fn get_word(&mut self, slot: usize) -> u64 {
@@ -131,30 +131,23 @@ pub struct MetaCursor<'a> {
 }
 
 // ----------------------------------------------------------------------
-// Metadata scan twins. Each 1-bit walk the GQF core performs exists as a
-// scalar per-bit reference and a SWAR word-at-a-time twin built on
-// [`Tracked::get_word`] + `count_ones`/`trailing_zeros` rank-select. The
-// twins return bit-identical results; line charges agree except that a
-// SWAR word read may touch a line a short-circuiting scalar walk would
-// have skipped (behavioral identity is the hard contract, metric parity
-// is approximate at the ±1-line level). `GqfCore` dispatches on
-// `gpu_sim::swar::enabled()`; property tests call both directly.
+// Metadata walks. Every 1-bit walk the GQF core performs reads one 64-bit
+// backing word at a time through [`Tracked::get_word`] and finds its
+// answer with `count_ones` (rank), `leading_zeros`/`trailing_zeros` and
+// a select inside the word. These are the GQF's only walks: `GqfCore`,
+// and through it the SQF and RSQF baselines, call them directly. The
+// per-bit scalar loops they replaced survive as `#[cfg(test)]` reference
+// oracles; the property tests below pin the word walks to them
+// bit-for-bit. Line charges agree with the per-bit loops except that a
+// word read may touch a line a short-circuiting per-bit walk would have
+// skipped (±1 line).
 // ----------------------------------------------------------------------
 
 /// Largest `p <= q` whose bit is *clear*, or 0 when bits `1..=q` are all
 /// set (bit 0 is never consulted in that case — cluster starts clamp to
-/// the table base). Scalar reference: the GQF's backward shifted-bit walk.
-pub fn prev_clear_scalar(t: &mut Tracked<'_>, q: usize) -> usize {
-    let mut i = q;
-    while i > 0 && t.get_bit(i) {
-        i -= 1;
-    }
-    i
-}
-
-/// SWAR twin of [`prev_clear_scalar`]: walk backward one 64-bit word at a
+/// the table base): the GQF's backward shifted-bit walk, one word at a
 /// time, selecting the highest clear bit at or below the probe.
-pub fn prev_clear_swar(t: &mut Tracked<'_>, q: usize) -> usize {
+pub(crate) fn prev_clear(t: &mut Tracked<'_>, q: usize) -> usize {
     let mut base = q & !63;
     let mut off = (q - base) as u32;
     loop {
@@ -172,18 +165,9 @@ pub fn prev_clear_swar(t: &mut Tracked<'_>, q: usize) -> usize {
     }
 }
 
-/// First `i` in `[from, n)` whose bit is *clear*, else `n`. Scalar
-/// reference: the run-end / continuation forward walk.
-pub fn next_clear_scalar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
-    let mut i = from;
-    while i < n && t.get_bit(i) {
-        i += 1;
-    }
-    i
-}
-
-/// SWAR twin of [`next_clear_scalar`].
-pub fn next_clear_swar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
+/// First `i` in `[from, n)` whose bit is *clear*, else `n`: the run-end /
+/// continuation forward walk.
+pub(crate) fn next_clear(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
     let mut i = from;
     while i < n {
         let base = i & !63;
@@ -199,18 +183,34 @@ pub fn next_clear_swar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
     n
 }
 
-/// First `i` in `[from, n)` whose bit is *set*, else `n`. Scalar
-/// reference: the occupied-quotient forward walk.
-pub fn next_set_scalar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
-    let mut i = from;
-    while i < n && !t.get_bit(i) {
-        i += 1;
+/// Position of the `k`-th clear bit (1-based) in `[from, n)`, else `n`
+/// when the span holds fewer than `k`; `k = 0` selects `from` itself.
+/// The select half of the rank-select metadata walk: one `count_ones`
+/// per word skips whole words, then a select inside the word that holds
+/// the bit. Equals `k` chained [`next_clear`] steps.
+pub(crate) fn select_clear(t: &mut Tracked<'_>, from: usize, k: usize, n: usize) -> usize {
+    if k == 0 {
+        return from.min(n);
     }
-    i
+    let mut left = k;
+    let mut i = from;
+    while i < n {
+        let base = i & !63;
+        let end = (n - base).min(64) as u32;
+        let clear = !t.get_word(base) & mask_range((i - base) as u32, end);
+        let c = clear.count_ones() as usize;
+        if left <= c {
+            return base + select_in_word(clear, (left - 1) as u32);
+        }
+        left -= c;
+        i = base + 64;
+    }
+    n
 }
 
-/// SWAR twin of [`next_set_scalar`].
-pub fn next_set_swar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
+/// First `i` in `[from, n)` whose bit is *set*, else `n`: the
+/// occupied-quotient forward walk.
+pub(crate) fn next_set(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
     let mut i = from;
     while i < n {
         let base = i & !63;
@@ -226,13 +226,8 @@ pub fn next_set_swar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
 }
 
 /// Number of set bits in `[lo, hi)` — the rank half of the rank-select
-/// metadata walk. Scalar reference: one bit per step.
-pub fn rank_set_scalar(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
-    (lo..hi).filter(|&i| t.get_bit(i)).count()
-}
-
-/// SWAR twin of [`rank_set_scalar`]: one `count_ones` per word.
-pub fn rank_set_swar(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
+/// metadata walk, one `count_ones` per word.
+pub(crate) fn rank_set(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
     let mut count = 0usize;
     let mut i = lo;
     while i < hi {
@@ -246,22 +241,9 @@ pub fn rank_set_swar(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
 }
 
 /// First slot in `[from, n)` with occupied, continuation, and shifted all
-/// clear (the classic quotient-filter emptiness test), else `n`. Scalar
-/// reference replicates the short-circuit of [`Metadata::is_empty_slot`].
-pub fn next_empty_scalar(cur: &mut MetaCursor<'_>, from: usize, n: usize) -> usize {
-    let mut i = from;
-    while i < n {
-        if !cur.occ.get_bit(i) && !cur.cont.get_bit(i) && !cur.shift.get_bit(i) {
-            return i;
-        }
-        i += 1;
-    }
-    n
-}
-
-/// SWAR twin of [`next_empty_scalar`]: OR the three metadata words and
-/// select the first clear bit.
-pub fn next_empty_swar(cur: &mut MetaCursor<'_>, from: usize, n: usize) -> usize {
+/// clear (the classic quotient-filter emptiness test), else `n`: OR the
+/// three metadata words and select the first clear bit.
+pub(crate) fn next_empty(cur: &mut MetaCursor<'_>, from: usize, n: usize) -> usize {
     let mut i = from;
     while i < n {
         let base = i & !63;
@@ -282,6 +264,80 @@ fn mask_range(lo: u32, hi: u32) -> u64 {
     debug_assert!(lo < 64 && hi <= 64 && lo <= hi);
     let upper = if hi == 64 { u64::MAX } else { (1u64 << hi) - 1 };
     upper & !((1u64 << lo) - 1)
+}
+
+/// Bit position of the `j`-th set bit (0-based) of `w`, by halving: each
+/// step ranks the low half and keeps the half that holds the bit.
+#[inline]
+fn select_in_word(mut w: u64, mut j: u32) -> usize {
+    debug_assert!(j < w.count_ones());
+    let mut pos = 0u32;
+    let mut width = 32u32;
+    while width > 0 {
+        let low = w & ((1u64 << width) - 1);
+        let c = low.count_ones();
+        if j >= c {
+            j -= c;
+            w >>= width;
+            pos += width;
+        } else {
+            w = low;
+        }
+        width /= 2;
+    }
+    pos as usize
+}
+
+// Per-bit reference walks: the oracles the word walks are tested against.
+
+/// Per-bit reference for [`prev_clear`].
+#[cfg(test)]
+pub(crate) fn prev_clear_scalar(t: &mut Tracked<'_>, q: usize) -> usize {
+    let mut i = q;
+    while i > 0 && t.get_bit(i) {
+        i -= 1;
+    }
+    i
+}
+
+/// Per-bit reference for [`next_clear`].
+#[cfg(test)]
+pub(crate) fn next_clear_scalar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
+    let mut i = from;
+    while i < n && t.get_bit(i) {
+        i += 1;
+    }
+    i
+}
+
+/// Per-bit reference for [`next_set`].
+#[cfg(test)]
+pub(crate) fn next_set_scalar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
+    let mut i = from;
+    while i < n && !t.get_bit(i) {
+        i += 1;
+    }
+    i
+}
+
+/// Per-bit reference for [`rank_set`].
+#[cfg(test)]
+pub(crate) fn rank_set_scalar(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
+    (lo..hi).filter(|&i| t.get_bit(i)).count()
+}
+
+/// Per-bit reference for [`next_empty`], with the short-circuit of
+/// [`Metadata::is_empty_slot`].
+#[cfg(test)]
+pub(crate) fn next_empty_scalar(cur: &mut MetaCursor<'_>, from: usize, n: usize) -> usize {
+    let mut i = from;
+    while i < n {
+        if !cur.occ.get_bit(i) && !cur.cont.get_bit(i) && !cur.shift.get_bit(i) {
+            return i;
+        }
+        i += 1;
+    }
+    n
 }
 
 #[cfg(test)]
@@ -336,12 +392,10 @@ mod tests {
         assert_eq!(diff.get(Counter::LinesStored), 1);
     }
 
-    /// Satellite: every metadata scan twin, bit-identical on random bit
-    /// patterns, all-set, all-clear, and word-boundary-straddling probes.
-    #[test]
-    fn scan_twins_are_bit_identical() {
-        let n = 1000; // deliberately not a multiple of 64
-        let patterns: [&dyn Fn(usize) -> bool; 5] = [
+    /// The five bit patterns the walk tests probe: all clear, all set,
+    /// periodic, whole words alternating set / clear, and hashed noise.
+    fn patterns() -> [&'static dyn Fn(usize) -> bool; 5] {
+        [
             &|_| false,
             &|_| true,
             &|i| i % 3 == 0,
@@ -352,40 +406,106 @@ mod tests {
                 h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
                 h & 1 == 0
             },
-        ];
-        // Probes around word boundaries and the span edges.
+        ]
+    }
+
+    /// A 1024-bit buffer holding `pat` over its first `n` bits.
+    fn bit_buffer(n: usize, pat: &dyn Fn(usize) -> bool) -> GpuBuffer {
+        let buf = GpuBuffer::new(1024, 1);
+        for i in 0..n {
+            buf.write_free(i, pat(i) as u64);
+        }
+        buf
+    }
+
+    /// Every word walk equals its per-bit reference on the bit patterns,
+    /// with probes straddling word boundaries and the span edges.
+    #[test]
+    fn scan_twins_are_bit_identical() {
+        let n = 1000; // deliberately not a multiple of 64
         let probes = [0usize, 1, 62, 63, 64, 65, 127, 128, 500, 511, 512, 513, 960, 998, 999];
-        for (pi, pat) in patterns.iter().enumerate() {
-            let buf = GpuBuffer::new(1024, 1);
-            for i in 0..n {
-                buf.write_free(i, pat(i) as u64);
-            }
+        for (pi, pat) in patterns().iter().enumerate() {
+            let buf = bit_buffer(n, pat);
             let mut t = Tracked::new(&buf);
             for &p in &probes {
                 assert_eq!(
                     prev_clear_scalar(&mut t, p),
-                    prev_clear_swar(&mut t, p),
+                    prev_clear(&mut t, p),
                     "prev_clear pat={pi} p={p}"
                 );
                 assert_eq!(
                     next_clear_scalar(&mut t, p, n),
-                    next_clear_swar(&mut t, p, n),
+                    next_clear(&mut t, p, n),
                     "next_clear pat={pi} p={p}"
                 );
                 assert_eq!(
                     next_set_scalar(&mut t, p, n),
-                    next_set_swar(&mut t, p, n),
+                    next_set(&mut t, p, n),
                     "next_set pat={pi} p={p}"
                 );
                 for &q in &probes {
                     if p <= q {
                         assert_eq!(
                             rank_set_scalar(&mut t, p, q),
-                            rank_set_swar(&mut t, p, q),
+                            rank_set(&mut t, p, q),
                             "rank pat={pi} [{p},{q})"
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// `select_clear` equals `k` chained per-bit `next_clear` steps — the
+    /// run-end jump walk it replaces — for `from` on both sides of word
+    /// boundaries and `k` past the number of clear bits (answer `n`).
+    #[test]
+    fn select_clear_matches_chained_next_clear() {
+        fn jumps(t: &mut Tracked<'_>, from: usize, k: usize, n: usize) -> usize {
+            let mut p = from;
+            for step in 0..k {
+                p = next_clear_scalar(t, if step == 0 { p } else { p + 1 }, n);
+                if p >= n {
+                    return n;
+                }
+            }
+            p.min(n)
+        }
+        let n = 1000;
+        let froms =
+            [0usize, 1, 62, 63, 64, 65, 127, 128, 129, 511, 512, 513, 959, 960, 998, 999, 1000];
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random_words = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rng
+        };
+        let mut bufs: Vec<GpuBuffer> = patterns().iter().map(|pat| bit_buffer(n, pat)).collect();
+        for _ in 0..4 {
+            let words: Vec<u64> = (0..16).map(|_| random_words()).collect();
+            bufs.push(bit_buffer(n, &|i| (words[i / 64] >> (i % 64)) & 1 == 1));
+        }
+        for (bi, buf) in bufs.iter().enumerate() {
+            let mut t = Tracked::new(buf);
+            for &from in &froms {
+                for k in 0..=130usize {
+                    assert_eq!(
+                        select_clear(&mut t, from, k, n),
+                        jumps(&mut t, from, k, n),
+                        "buf={bi} from={from} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn select_in_word_finds_every_set_bit() {
+        for w in
+            [1u64, u64::MAX, 0x8000_0000_0000_0001, 0xF0F0_F0F0_0F0F_0F0F, 0x5555_AAAA_1234_8000]
+        {
+            let positions: Vec<usize> = (0..64).filter(|&b| (w >> b) & 1 == 1).collect();
+            for (j, &pos) in positions.iter().enumerate() {
+                assert_eq!(select_in_word(w, j as u32), pos, "w={w:#x} j={j}");
             }
         }
     }
@@ -403,7 +523,7 @@ mod tests {
         for from in [0usize, 1, 63, 64, 65, 200, 255] {
             assert_eq!(
                 next_empty_scalar(&mut cur, from, 256),
-                next_empty_swar(&mut cur, from, 256),
+                next_empty(&mut cur, from, 256),
                 "from={from}"
             );
         }
@@ -414,7 +534,7 @@ mod tests {
             cur.occ.set_bit(i, true);
         }
         assert_eq!(next_empty_scalar(&mut cur, 0, 128), 128);
-        assert_eq!(next_empty_swar(&mut cur, 0, 128), 128);
+        assert_eq!(next_empty(&mut cur, 0, 128), 128);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! * runs are ordered by quotient and packed into *clusters* — maximal
 //!   empty-free slot ranges, each starting at an unshifted slot.
 
-use crate::bits::{Metadata, Tracked};
+use crate::bits::{self, MetaCursor, Metadata, Tracked};
 use crate::layout::Layout;
-use crate::runs::{decode_run, encode_run, merge_entry, remove_entry, total_count, Entry};
+use crate::runs::{
+    decode_group, decode_run, encode_run, merge_entry, remove_entry, total_count, Entry,
+};
 use filter_core::FilterError;
 use gpu_sim::GpuBuffer;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,18 +100,14 @@ impl GqfCore {
     }
 
     // ------------------------------------------------------------------
-    // Walks (read-only)
+    // Walks (read-only). Each is one word-at-a-time rank / select walk
+    // over a metadata bitvector (`crate::bits`).
     // ------------------------------------------------------------------
 
     /// Start of the cluster covering `q`: the nearest unshifted slot at or
-    /// left of `q`. Dispatches between the scalar backward bit walk and
-    /// the SWAR word-at-a-time twin (`crate::bits`).
+    /// left of `q`.
     fn cluster_start(&self, shift: &mut Tracked<'_>, q: usize) -> usize {
-        if gpu_sim::swar::enabled() {
-            crate::bits::prev_clear_swar(shift, q)
-        } else {
-            crate::bits::prev_clear_scalar(shift, q)
-        }
+        bits::prev_clear(shift, q)
     }
 
     /// Last slot of the run starting at `s`: the slot before the first
@@ -119,57 +117,35 @@ impl GqfCore {
         if s + 1 >= n {
             return s;
         }
-        if gpu_sim::swar::enabled() {
-            crate::bits::next_clear_swar(cont, s + 1, n) - 1
-        } else {
-            crate::bits::next_clear_scalar(cont, s + 1, n) - 1
-        }
+        bits::next_clear(cont, s + 1, n) - 1
     }
 
     /// Start slot of quotient `q`'s run (or where it would begin if `q` is
     /// not yet occupied). Requires slot `q` to be non-empty or occupied —
     /// i.e. not the trivial-insert case.
-    fn run_start(&self, cur: &mut crate::bits::MetaCursor<'_>, q: usize) -> usize {
+    fn run_start(&self, cur: &mut MetaCursor<'_>, q: usize) -> usize {
         if !cur.shift.get_bit(q) {
             return q;
         }
+        // Rank then select. The cluster's runs appear in quotient order,
+        // one per occupied quotient, and its first run belongs to `c0` (a
+        // cluster start is an unshifted run start). So `q`'s run is the
+        // (d+1)-th run of the cluster, where `d` counts the occupied
+        // quotients in [c0, q). Every run after the first begins at a
+        // clear continuation bit, which makes its start the d-th clear
+        // continuation bit after `c0`.
         let c0 = self.cluster_start(&mut cur.shift, q);
-        // Skip one run per occupied quotient in [c0, q); the cluster's
-        // first run always belongs to quotient c0 (a cluster start is an
-        // unshifted run start), so the walk is a simple pairing. The SWAR
-        // twin ranks the occupied bits word-at-a-time and performs the
-        // same number of run-end jumps (the jumps themselves do not
-        // depend on *which* quotient triggered them).
-        let mut s = c0;
-        if gpu_sim::swar::enabled() {
-            let d = crate::bits::rank_set_swar(&mut cur.occ, c0, q);
-            for _ in 0..d {
-                s = self.run_end(&mut cur.cont, s) + 1;
-            }
-        } else {
-            for b in c0..q {
-                if cur.occ.get_bit(b) {
-                    s = self.run_end(&mut cur.cont, s) + 1;
-                }
-            }
-        }
+        let d = bits::rank_set(&mut cur.occ, c0, q);
+        let s = bits::select_clear(&mut cur.cont, c0 + 1, d, self.layout.physical_slots());
         // Robin Hood: a run never starts left of its canonical slot.
         debug_assert!(s >= q || !cur.occ.get_bit(q), "run start {s} left of quotient {q}");
         s.max(q)
     }
 
     /// First empty slot at or after `from`.
-    fn first_empty(
-        &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
-        from: usize,
-    ) -> Result<usize, FilterError> {
+    fn first_empty(&self, cur: &mut MetaCursor<'_>, from: usize) -> Result<usize, FilterError> {
         let n = self.layout.physical_slots();
-        let i = if gpu_sim::swar::enabled() {
-            crate::bits::next_empty_swar(cur, from, n)
-        } else {
-            crate::bits::next_empty_scalar(cur, from, n)
-        };
+        let i = bits::next_empty(cur, from, n);
         if i < n {
             Ok(i)
         } else {
@@ -200,7 +176,7 @@ impl GqfCore {
     /// their slots.
     fn memmove_right_one(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         a: usize,
         e: usize,
@@ -225,7 +201,7 @@ impl GqfCore {
     /// overfilled filter fails the insert instead of racing a neighbour).
     fn open_gap(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         origin_q: usize,
         pos: usize,
@@ -267,7 +243,7 @@ impl GqfCore {
     /// metadata for quotient `q`.
     fn write_run(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         q: usize,
         start: usize,
@@ -328,6 +304,11 @@ impl GqfCore {
 
     /// Count of items hashing to `(q, r)` (0 when absent; never
     /// undercounts true insertions of the same fingerprint).
+    ///
+    /// Decodes the run's counter groups in place, straight from the
+    /// remainder slots and with the greedy rules of [`decode_run`], and
+    /// stops at the first group head above `r` (a run's remainders
+    /// ascend). Allocates nothing.
     pub fn query(&self, q: usize, r: u64) -> u64 {
         let mut cur = self.meta.cursor();
         if !cur.occ.get_bit(q) {
@@ -335,16 +316,27 @@ impl GqfCore {
         }
         let mut rem = Tracked::new(&self.remainders);
         let start = self.run_start(&mut cur, q);
-        let (vals, _) = self.read_run(&mut cur.cont, &mut rem, start);
-        let entries = decode_run(&vals, self.layout.r_bits);
-        entries.binary_search_by_key(&r, |e| e.remainder).map(|i| entries[i].count).unwrap_or(0)
+        let len = self.run_end(&mut cur.cont, start) + 1 - start;
+        let mut i = 0usize;
+        while i < len {
+            if rem.get(start + i) > r {
+                break;
+            }
+            let (entry, group_len) =
+                decode_group(|k| rem.get(start + k), i, len, self.layout.r_bits);
+            if entry.remainder == r {
+                return entry.count;
+            }
+            i += group_len;
+        }
+        0
     }
 
     /// Collect every run of the cluster starting at `c0`.
     /// Returns the runs and the exclusive cluster end.
     fn collect_cluster(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         c0: usize,
     ) -> (Vec<Run>, usize) {
@@ -352,11 +344,7 @@ impl GqfCore {
         let mut s = c0;
         let mut q_cursor = c0;
         while s < self.layout.physical_slots() && !self.meta.is_empty_slot(cur, s) {
-            let b = if gpu_sim::swar::enabled() {
-                crate::bits::next_set_swar(&mut cur.occ, q_cursor, s + 1)
-            } else {
-                crate::bits::next_set_scalar(&mut cur.occ, q_cursor, s + 1)
-            };
+            let b = bits::next_set(&mut cur.occ, q_cursor, s + 1);
             debug_assert!(b <= s, "run at {s} has no occupied quotient");
             let (vals, end_ex) = self.read_run(&mut cur.cont, rem, s);
             runs.push(Run { quotient: b, entries: decode_run(&vals, self.layout.r_bits) });
@@ -371,7 +359,7 @@ impl GqfCore {
     /// (deletes) — the "more compute intensive" operation of §6.4.
     fn relayout_cluster(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         c0: usize,
         runs: &[Run],
@@ -544,9 +532,122 @@ impl Iterator for MultisetIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::{next_clear_scalar, prev_clear_scalar};
 
     fn small() -> GqfCore {
         GqfCore::new(Layout::new(10, 8).unwrap())
+    }
+
+    /// Reference `run_start`: per-bit walks and one run-end jump per
+    /// occupied quotient between the cluster start and `q`.
+    fn run_start_by_jumps(f: &GqfCore, cur: &mut MetaCursor<'_>, q: usize) -> usize {
+        if !cur.shift.get_bit(q) {
+            return q;
+        }
+        let n = f.layout.physical_slots();
+        let c0 = prev_clear_scalar(&mut cur.shift, q);
+        let mut s = c0;
+        for b in c0..q {
+            if cur.occ.get_bit(b) {
+                let end =
+                    if s + 1 >= n { s } else { next_clear_scalar(&mut cur.cont, s + 1, n) - 1 };
+                s = end + 1;
+            }
+        }
+        s.max(q)
+    }
+
+    /// Reference `query`: locate the run by jumps, copy it out with
+    /// `read_run`, decode it with `decode_run` and binary-search the
+    /// entries.
+    fn query_by_decode(f: &GqfCore, q: usize, r: u64) -> u64 {
+        let mut cur = f.meta.cursor();
+        if !cur.occ.get_bit(q) {
+            return 0;
+        }
+        let mut rem = Tracked::new(&f.remainders);
+        let start = run_start_by_jumps(f, &mut cur, q);
+        let (vals, _) = f.read_run(&mut cur.cont, &mut rem, start);
+        let entries = decode_run(&vals, f.layout.r_bits);
+        entries.binary_search_by_key(&r, |e| e.remainder).map(|i| entries[i].count).unwrap_or(0)
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 17
+        }
+    }
+
+    #[test]
+    fn rank_select_run_start_matches_jump_walk_at_90_percent() {
+        let f = GqfCore::new(Layout::new(12, 8).unwrap());
+        let mut next = lcg(7);
+        while f.load_factor() < 0.9 {
+            let q = (next() % 4096) as usize;
+            f.upsert(q, next() % 256, 1 + next() % 2).unwrap();
+        }
+        f.check_invariants();
+        let mut cur = f.meta.cursor();
+        let mut shifted = 0usize;
+        for q in 0..f.layout.canonical_slots() {
+            if !cur.occ.get_bit(q) && f.meta.is_empty_slot(&mut cur, q) {
+                continue; // run_start's precondition: slot non-empty or occupied
+            }
+            shifted += usize::from(cur.shift.get_bit(q));
+            let want = run_start_by_jumps(&f, &mut cur, q);
+            assert_eq!(f.run_start(&mut cur, q), want, "q={q}");
+        }
+        assert!(shifted > 1000, "a 90% fill shifts most runs ({shifted})");
+    }
+
+    #[test]
+    fn in_place_query_matches_decode_reference() {
+        let f = GqfCore::new(Layout::new(12, 8).unwrap());
+        let counts = [1u64, 2, 3, 4, 255, 256, 300, 70_000];
+        let mut stored: Vec<(usize, u64, u64)> = Vec::new();
+        // Adjacent quotients with multi-slot runs form one long cluster;
+        // every count appears at both remainder extremes.
+        for (j, &c) in counts.iter().enumerate() {
+            for r in [0u64, 255] {
+                stored.push((100 + j, r, c));
+            }
+        }
+        // One run holding every counter shape between the extremes.
+        for (i, &c) in counts.iter().enumerate() {
+            stored.push((108, 1 + 30 * i as u64, c));
+        }
+        // A counter whose digit payload (5) equals the neighbouring
+        // remainder, as in `runs::digit_values_may_collide_with_other_remainders`.
+        stored.push((109, 5, 2));
+        stored.push((109, 9, 3 + 5));
+        stored.push((4095, 7, 300)); // a run spilling into the pad
+        for &(q, r, c) in &stored {
+            f.upsert(q, r, c).unwrap();
+        }
+        f.check_invariants();
+        for &(q, r, c) in &stored {
+            assert_eq!(f.query(q, r), c, "stored q={q} r={r}");
+            assert_eq!(f.query(q, r), query_by_decode(&f, q, r), "stored q={q} r={r}");
+        }
+        let mut next = lcg(11);
+        let mut probes = 0;
+        while probes < 10_000 {
+            // Half the probes hit an occupied quotient with a missing remainder.
+            let q = if probes % 2 == 0 {
+                stored[(next() % stored.len() as u64) as usize].0
+            } else {
+                (next() % 4096) as usize
+            };
+            let r = next() % 256;
+            if stored.iter().any(|&(sq, sr, _)| (sq, sr) == (q, r)) {
+                continue;
+            }
+            assert_eq!(f.query(q, r), 0, "absent q={q} r={r}");
+            assert_eq!(query_by_decode(&f, q, r), 0, "absent q={q} r={r}");
+            probes += 1;
+        }
     }
 
     #[test]

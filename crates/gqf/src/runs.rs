@@ -74,32 +74,48 @@ pub fn encode_run(entries: &[Entry], r_bits: u32) -> Vec<u64> {
 /// Decode a run's slot values back into entries. A well-formed encoding
 /// always round-trips (see the tests); malformed tails decode greedily.
 pub fn decode_run(slots: &[u64], r_bits: u32) -> Vec<Entry> {
-    let b = base(r_bits);
     let mut entries = Vec::new();
     let mut i = 0usize;
-    let n = slots.len();
-    while i < n {
-        let x = slots[i];
-        if i + 2 < n && slots[i + 1] == x && slots[i + 2] == x {
-            // Counter group: [x, x, x, L, digits…].
-            let l = if i + 3 < n { slots[i + 3] as usize } else { 0 };
-            let l = l.min(n.saturating_sub(i + 4));
-            let mut c = 0u128;
-            for k in (0..l).rev() {
-                c = c * b + slots[i + 4 + k] as u128;
-            }
-            let count = 3u64.saturating_add(c.min(u64::MAX as u128 - 3) as u64);
-            entries.push(Entry { remainder: x, count });
-            i += 4 + l;
-        } else if i + 1 < n && slots[i + 1] == x {
-            entries.push(Entry { remainder: x, count: 2 });
-            i += 2;
-        } else {
-            entries.push(Entry { remainder: x, count: 1 });
-            i += 1;
-        }
+    while i < slots.len() {
+        let (entry, len) = decode_group(|k| slots[k], i, slots.len(), r_bits);
+        entries.push(entry);
+        i += len;
     }
     entries
+}
+
+/// Decode the one counter group that starts at offset `i` of an `n`-slot
+/// run whose slot `k` reads as `slot(k)`. Returns the entry and the
+/// number of slots the group occupies. Slots are read in ascending
+/// order and only as far as the group reaches, so a caller can decode a
+/// run in place and stop at any group head (`GqfCore::query` does).
+#[inline]
+pub(crate) fn decode_group(
+    mut slot: impl FnMut(usize) -> u64,
+    i: usize,
+    n: usize,
+    r_bits: u32,
+) -> (Entry, usize) {
+    let x = slot(i);
+    if i + 2 < n && slot(i + 1) == x && slot(i + 2) == x {
+        // Counter group: [x, x, x, L, digits…].
+        let l = if i + 3 < n { slot(i + 3) as usize } else { 0 };
+        let l = l.min(n.saturating_sub(i + 4));
+        // Little-endian digits, read ascending; saturates on malformed
+        // digit strings too long for a u64 count.
+        let mut c = 0u128;
+        let mut scale = 1u128;
+        for k in 0..l {
+            c = c.saturating_add((slot(i + 4 + k) as u128).saturating_mul(scale));
+            scale = scale.saturating_mul(base(r_bits));
+        }
+        let count = 3u64.saturating_add(c.min(u64::MAX as u128 - 3) as u64);
+        (Entry { remainder: x, count }, 4 + l)
+    } else if i + 1 < n && slot(i + 1) == x {
+        (Entry { remainder: x, count: 2 }, 2)
+    } else {
+        (Entry { remainder: x, count: 1 }, 1)
+    }
 }
 
 /// Number of slots the encoding of `entries` occupies.

@@ -79,7 +79,7 @@ fn main() -> Result<(), FilterError> {
     assert_eq!(seq.bulk_query_vec(&keys)?, par.bulk_query_vec(&keys)?);
     println!("Parallelism knob: 4-worker build answers identically to sequential ✓");
 
-    // The hot scan loops themselves also come in twins: a scalar
+    // The TCF's hot scan loops themselves also come in twins: a scalar
     // reference kernel and a branch-light u64 SWAR kernel (broadcast-XOR
     // lane tests, popcount rank), selected by a runtime switch whose
     // startup default is the `swar` cargo feature. Either arm must
