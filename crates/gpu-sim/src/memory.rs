@@ -143,12 +143,11 @@ impl GpuBuffer {
     }
 
     /// Read the entire 64-bit backing word containing `slot`, without
-    /// traffic accounting (callers price it at line granularity, like
-    /// [`crate::swar`]'s word-at-a-time scans). The low bit of the result
-    /// is the word's first slot. Records the whole word's slot range in
-    /// the shadow logs; for 1-bit metadata buffers whose regions are
-    /// multiples of 64 slots this never widens a read set across a region
-    /// boundary.
+    /// traffic accounting (callers price it at line granularity). The
+    /// low bit of the result is the word's first slot. Records the whole
+    /// word's slot range in the shadow logs; for 1-bit metadata buffers
+    /// whose regions are multiples of 64 slots this never widens a read
+    /// set across a region boundary.
     #[inline]
     pub fn read_word_free(&self, slot: usize) -> u64 {
         let (word, _) = self.locate(slot);
@@ -425,30 +424,6 @@ impl GpuBuffer {
         }
     }
 
-    /// Hint the hardware prefetcher at the cache line holding `slot` — the
-    /// software prefetch the sorted per-segment apply passes issue once the
-    /// next block's address is known. A pure cache hint: no simulated
-    /// traffic is counted here (the later staged load still pays its
-    /// lines), and on non-x86_64 targets it is a no-op.
-    #[inline]
-    pub fn prefetch(&self, slot: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (word, _) = self.locate(slot);
-            // SAFETY: `_mm_prefetch` is a cache hint with no memory side
-            // effects and no validity requirements beyond a dereferenceable
-            // address; the pointer comes from a live borrow of
-            // `self.words[word]`, so it is valid here.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    self.words[word].as_ptr() as *const i8,
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = slot;
-    }
-
     /// Zero every slot (host-side, not counted as kernel traffic).
     pub fn clear(&self) {
         for w in self.words.iter() {
@@ -528,112 +503,6 @@ impl<'a> SpanView<'a> {
     #[inline]
     pub fn reload(&self, slot: usize) -> u64 {
         self.buf.read_free(slot)
-    }
-
-    // ------------------------------------------------------------------
-    // SWAR word-granular scans (see `crate::swar`). These are the SWAR
-    // twins' data path: one staged-word fetch (and one slot→word locate)
-    // per *word* instead of per slot. All indices are absolute slots, like
-    // [`Self::get`]; results are relative to `start`.
-    // ------------------------------------------------------------------
-
-    /// Walk the buffer-word-aligned windows covering `[start, start + n)`.
-    /// Each window is handed to `f` as `(index of its first slot relative
-    /// to start, staged word shifted so that slot occupies lane 0, number
-    /// of covered lanes)`; `f` returns `Some(i)` (lane index within the
-    /// window) to stop early. Bits above the covered lanes are neighbor or
-    /// dead bits — kernels must pass the lane count through.
-    #[inline]
-    fn scan_words<F: FnMut(usize, u64, u32) -> Option<u32>>(
-        &self,
-        start: usize,
-        n: usize,
-        mut f: F,
-    ) -> Option<usize> {
-        let mut done = 0usize;
-        while done < n {
-            let (word, off) = self.buf.locate(start + done);
-            let lane0 = (off / self.buf.elem_bits) as usize;
-            let lanes = (self.buf.slots_per_word - lane0).min(n - done) as u32;
-            let w = self.words.get(word - self.first_word) >> off;
-            if let Some(i) = f(done, w, lanes) {
-                return Some(done + i as usize);
-            }
-            done += lanes as usize;
-        }
-        None
-    }
-
-    /// Bitmask over the `n <= 64` slots `[start, start + n)`: bit i set iff
-    /// slot `start + i` equals `value`. SWAR twin of a per-slot equality
-    /// ballot.
-    pub fn eq_mask(&self, start: usize, n: usize, value: u64) -> u64 {
-        debug_assert!(n <= 64);
-        let w = self.buf.elem_bits;
-        let mut mask = 0u64;
-        self.scan_words(start, n, |base, word, lanes| {
-            mask |= crate::swar::eq_lanes(word, value, w, lanes) << base;
-            None
-        });
-        mask
-    }
-
-    /// Bitmask over `n <= 64` slots: bit i set iff slot `start + i` holds a
-    /// value `<= 1` (the TCF's EMPTY/TOMBSTONE free-slot predicate).
-    pub fn free_mask(&self, start: usize, n: usize) -> u64 {
-        debug_assert!(n <= 64);
-        let w = self.buf.elem_bits;
-        let mut mask = 0u64;
-        self.scan_words(start, n, |base, word, lanes| {
-            mask |= crate::swar::le_one_lanes(word, w, lanes) << base;
-            None
-        });
-        mask
-    }
-
-    /// Slots (lanes) per backing word of the underlying buffer — the
-    /// window size at which word-granular scans resolve. Kernels that
-    /// bisect before scanning use this to stop the bisection one word out.
-    pub fn slots_per_word(&self) -> usize {
-        self.buf.slots_per_word
-    }
-
-    /// Index (relative to `start`) of the first slot equal to `value` in
-    /// `[start, start + n)`, or `None`. Word-at-a-time with early exit —
-    /// the existence probe for hit-heavy query paths, where building the
-    /// full [`Self::eq_mask`] would scan past the first match.
-    pub fn find_eq(&self, start: usize, n: usize, value: u64) -> Option<usize> {
-        let w = self.buf.elem_bits;
-        self.scan_words(start, n, |_, word, lanes| {
-            let m = crate::swar::eq_lanes(word, value, w, lanes);
-            (m != 0).then(|| m.trailing_zeros())
-        })
-    }
-
-    /// Index (relative to `start`) of the first zero slot in
-    /// `[start, start + n)`, or `None`. Word-at-a-time; `n` may exceed 64.
-    pub fn find_zero(&self, start: usize, n: usize) -> Option<usize> {
-        let w = self.buf.elem_bits;
-        self.scan_words(start, n, |_, word, lanes| {
-            let z = crate::swar::zero_lanes(word, w, lanes);
-            (z != 0).then(|| z.trailing_zeros())
-        })
-    }
-
-    /// For a span whose `[start, start + n)` slots are sorted ascending:
-    /// the index (relative to `start`) of the first slot `>= value`, i.e.
-    /// the lower bound. Word-at-a-time with early exit; `n` may exceed 64.
-    pub fn lower_bound_sorted(&self, start: usize, n: usize, value: u64) -> usize {
-        let w = self.buf.elem_bits;
-        let target = crate::swar::broadcast(value, w);
-        self.scan_words(start, n, |_, word, lanes| {
-            let lt = crate::swar::lt_lanes(word, target, w, lanes);
-            let full = if lanes == 64 { u64::MAX } else { (1u64 << lanes) - 1 };
-            // Sorted lanes: `lt` is a contiguous low prefix; stop at the
-            // first lane that is not below `value`.
-            (lt != full).then(|| (!lt & full).trailing_zeros())
-        })
-        .unwrap_or(n)
     }
 }
 
@@ -832,80 +701,6 @@ mod tests {
         }
         let total: u64 = (0..64).map(|s| buf.read_free(s)).sum();
         assert_eq!(total, 8 * 1000, "no lost updates");
-    }
-
-    #[test]
-    fn span_swar_scans_match_scalar_reference() {
-        // Every SWAR span scan against the per-slot reference, across the
-        // fingerprint widths the filters use, with unaligned starts (a
-        // 12-bit block is not word-aligned) and word-boundary straddles.
-        let mut s = 0xD1B5_4A32_D192_ED03u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for bits in [8u32, 12, 16, 32] {
-            let buf = GpuBuffer::new(256, bits);
-            let mask = (1u64 << bits) - 1;
-            for i in 0..256 {
-                // Bias toward small values so EMPTY/TOMBSTONE and
-                // duplicates actually occur.
-                let v = if next() % 3 == 0 { next() % 3 } else { next() & mask };
-                buf.write_free(i, v);
-            }
-            for &(start, n) in &[(0usize, 64usize), (1, 17), (7, 64), (60, 63), (128, 128)] {
-                let view = buf.load_span(start, n);
-                let probe = view.get(start + n / 2);
-                let (mut eq_ref, mut free_ref) = (0u64, 0u64);
-                for i in 0..n.min(64) {
-                    if view.get(start + i) == probe {
-                        eq_ref |= 1 << i;
-                    }
-                    if view.get(start + i) <= 1 {
-                        free_ref |= 1 << i;
-                    }
-                }
-                let m = n.min(64);
-                assert_eq!(view.eq_mask(start, m, probe), eq_ref, "bits={bits} start={start}");
-                assert_eq!(view.free_mask(start, m), free_ref, "bits={bits} start={start}");
-                let zero_ref = (0..n).find(|&i| view.get(start + i) == 0);
-                assert_eq!(view.find_zero(start, n), zero_ref, "bits={bits} start={start}");
-                for needle in [probe, 2, mask] {
-                    let eq_ref = (0..n).find(|&i| view.get(start + i) == needle);
-                    assert_eq!(
-                        view.find_eq(start, n, needle),
-                        eq_ref,
-                        "bits={bits} start={start} needle={needle}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn span_lower_bound_matches_partition_point() {
-        let buf = GpuBuffer::new(256, 12);
-        let mut vals: Vec<u64> = (0..200).map(|i| (i as u64 * 37) % 4096).collect();
-        vals.sort_unstable();
-        for (i, &v) in vals.iter().enumerate() {
-            buf.write_free(i + 3, v); // unaligned start
-        }
-        let view = buf.load_span(3, 200);
-        for probe in [0u64, 1, 36, 37, 38, 2000, 4095] {
-            let expect = vals.partition_point(|&v| v < probe);
-            assert_eq!(view.lower_bound_sorted(3, 200, probe), expect, "probe={probe}");
-        }
-        // All-equal span: lower bound lands on the first duplicate.
-        let dup = GpuBuffer::new(64, 8);
-        for i in 0..64 {
-            dup.write_free(i, 9);
-        }
-        let view = dup.load_span(0, 64);
-        assert_eq!(view.lower_bound_sorted(0, 64, 9), 0);
-        assert_eq!(view.lower_bound_sorted(0, 64, 10), 64);
-        assert_eq!(view.lower_bound_sorted(0, 64, 8), 0);
     }
 
     #[test]

@@ -31,59 +31,22 @@ impl BlockFill {
 }
 
 // ----------------------------------------------------------------------
-// Ballot twins. Each cooperative ballot exists twice: a scalar per-slot
-// reference scan and a SWAR word-at-a-time twin (`gpu_sim::swar`). The
-// twins are bit-identical in result and charge identical SIMT costs
-// (`Cg::ballot_charge` replays the stride/divergence accounting from the
-// mask); `gpu_sim::swar::enabled()` picks the twin on the hot paths, and
-// the property tests below call both directly.
+// Ballots. Each cooperative ballot is one strided `Cg::ballot_scan` over
+// the staged block: the group votes on every slot, and the returned mask
+// has bit i set iff slot `start + i` satisfies the predicate.
 // ----------------------------------------------------------------------
 
-/// Scalar reference ballot for free (empty-or-tombstone) slots.
-pub fn free_ballot_scalar(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize) -> u64 {
+/// Ballot for free (empty-or-tombstone) slots.
+fn free_ballot(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize) -> u64 {
     cg.ballot_scan(slots, |i| {
         let v = view.get(start + i);
         v == EMPTY || v == TOMBSTONE
     })
 }
 
-/// SWAR twin of [`free_ballot_scalar`]: one `le_one_lanes` per staged
-/// word (EMPTY = 0, TOMBSTONE = 1, so "free" is exactly "value <= 1").
-pub fn free_ballot_swar(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize) -> u64 {
-    let mask = view.free_mask(start, slots);
-    cg.ballot_charge(slots, mask);
-    mask
-}
-
-/// Scalar reference ballot for slots equal to `fp`.
-pub fn eq_ballot_scalar(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize, fp: u64) -> u64 {
-    cg.ballot_scan(slots, |i| view.get(start + i) == fp)
-}
-
-/// SWAR twin of [`eq_ballot_scalar`]: broadcast-XOR + exact zero-lane
-/// detection per staged word.
-pub fn eq_ballot_swar(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize, fp: u64) -> u64 {
-    let mask = view.eq_mask(start, slots, fp);
-    cg.ballot_charge(slots, mask);
-    mask
-}
-
-#[inline]
-fn free_ballot(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize) -> u64 {
-    if gpu_sim::swar::enabled() {
-        free_ballot_swar(view, cg, start, slots)
-    } else {
-        free_ballot_scalar(view, cg, start, slots)
-    }
-}
-
-#[inline]
+/// Ballot for slots equal to `fp`.
 fn eq_ballot(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize, fp: u64) -> u64 {
-    if gpu_sim::swar::enabled() {
-        eq_ballot_swar(view, cg, start, slots, fp)
-    } else {
-        eq_ballot_scalar(view, cg, start, slots, fp)
-    }
+    cg.ballot_scan(slots, |i| view.get(start + i) == fp)
 }
 
 /// Stage a block and measure its fill. One span load; the scan itself is
@@ -142,16 +105,7 @@ pub fn block_insert(table: &GpuBuffer, cg: &Cg, start: usize, slots: usize, fp: 
 /// for `fp`.
 pub fn block_query(table: &GpuBuffer, cg: &Cg, start: usize, slots: usize, fp: u64) -> bool {
     let view = table.load_span(start, slots);
-    if gpu_sim::swar::enabled() {
-        // `find_strided`'s charges do not depend on the predicate
-        // outcomes, so the SWAR twin replays them exactly. `find_eq`
-        // stops at the first matching word — the hit-heavy path must
-        // not scan the rest of the block just to build a full mask.
-        cg.find_charge(slots);
-        view.find_eq(start, slots, fp).is_some()
-    } else {
-        cg.find_strided(slots, |i| view.get(start + i) == fp).is_some()
-    }
+    cg.find_strided(slots, |i| view.get(start + i) == fp).is_some()
 }
 
 /// Cooperative delete: find `fp` and replace one copy with a tombstone
@@ -294,10 +248,10 @@ mod tests {
         assert!((fill.ratio(4) - 0.75).abs() < 1e-12);
     }
 
-    /// Satellite: every ballot twin pair, bit-identical masks on random
-    /// blocks, all-equal blocks, empty blocks, tombstone-laden blocks, at
-    /// 8- and 12-bit widths (12-bit blocks straddle word boundaries), for
-    /// every cg size.
+    /// Both ballots against masks built from a host readback of the
+    /// table, on random blocks, all-equal blocks, empty blocks and
+    /// tombstone-laden blocks, at 8-, 12- and 16-bit widths (12-bit
+    /// blocks straddle word boundaries), for every cg size.
     #[test]
     fn ballot_twins_are_bit_identical() {
         let mut s = 0x5851_F42D_4C95_7F2Du64;
@@ -308,6 +262,9 @@ mod tests {
             s
         };
         type Fill<'a> = dyn Fn(usize, &mut dyn FnMut() -> u64) -> u64 + 'a;
+        let host_mask = |table: &GpuBuffer, start: usize, pred: &dyn Fn(u64) -> bool| {
+            (0..16).filter(|&i| pred(table.read_free(start + i))).fold(0u64, |m, i| m | 1 << i)
+        };
         for bits in [8u32, 12, 16] {
             let fp_mask = (1u64 << bits) - 1;
             let fills: [&Fill<'_>; 4] = [
@@ -325,17 +282,18 @@ mod tests {
                 }
                 for start in [0usize, 16] {
                     let view = table.load_span(start, 16);
+                    let free = host_mask(&table, start, &|v| v == EMPTY || v == TOMBSTONE);
                     for g in [1u32, 2, 4, 8, 16, 32] {
                         let cg = Cg::new(g);
                         assert_eq!(
-                            free_ballot_scalar(&view, &cg, start, 16),
-                            free_ballot_swar(&view, &cg, start, 16),
+                            free_ballot(&view, &cg, start, 16),
+                            free,
                             "free bits={bits} fill={fi} start={start} cg={g}"
                         );
                         for fp in [0u64, 1, 5, 7, fp_mask, next() & fp_mask] {
                             assert_eq!(
-                                eq_ballot_scalar(&view, &cg, start, 16, fp),
-                                eq_ballot_swar(&view, &cg, start, 16, fp),
+                                eq_ballot(&view, &cg, start, 16, fp),
+                                host_mask(&table, start, &|v| v == fp),
                                 "eq bits={bits} fill={fi} start={start} cg={g} fp={fp}"
                             );
                         }

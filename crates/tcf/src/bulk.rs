@@ -193,21 +193,10 @@ impl BulkTcf {
         (((b1 as usize) << levels) | sub, ((b2 as usize) << levels) | sub)
     }
 
-    /// Length of the sorted live prefix of a staged block. Dispatches
-    /// between the scalar reference twin and the SWAR twin; both return
-    /// the index of the first EMPTY slot of a well-formed block (live
-    /// prefix, empty suffix).
+    /// Length of the sorted live prefix of a staged block: binary search
+    /// for the first EMPTY slot of a well-formed block (live prefix, empty
+    /// suffix).
     fn prefix_len(view: &gpu_sim::SpanView<'_>, start: usize, slots: usize) -> usize {
-        if gpu_sim::swar::enabled() {
-            Self::prefix_len_swar(view, start, slots)
-        } else {
-            Self::prefix_len_scalar(view, start, slots)
-        }
-    }
-
-    /// Scalar reference: binary search for the first EMPTY slot. Each
-    /// probe pays a slot→word locate (a runtime division) per `get`.
-    fn prefix_len_scalar(view: &gpu_sim::SpanView<'_>, start: usize, slots: usize) -> usize {
         // Live fingerprints (≥ 2) fill a prefix; empties (0) the suffix.
         let mut lo = 0;
         let mut hi = slots;
@@ -220,26 +209,6 @@ impl BulkTcf {
             }
         }
         lo
-    }
-
-    /// SWAR twin: bisect to the one word-sized window holding the
-    /// live→EMPTY transition, then resolve it with a single zero-lane
-    /// scan — the scalar twin's probe count minus `log2(lanes)`, plus
-    /// one word op. (A straight linear word scan loses to the binary
-    /// search at 128-slot blocks; the bisect keeps the word-granular
-    /// resolution without giving up the logarithmic narrowing.)
-    fn prefix_len_swar(view: &gpu_sim::SpanView<'_>, start: usize, slots: usize) -> usize {
-        let w = view.slots_per_word().max(1);
-        let (mut lo, mut hi) = (0usize, slots);
-        while hi - lo > w {
-            let mid = (lo + hi) / 2;
-            if view.get(start + mid) != EMPTY {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo + view.find_zero(start + lo, hi - lo).unwrap_or(hi - lo)
     }
 
     /// Run one placement pass: items grouped by `target` block are merged
@@ -266,14 +235,6 @@ impl BulkTcf {
             let (lo, hi) = (range.start, range.end);
             let block = order_ref[lo].0 as usize;
             let start = block * b;
-            // The sorted segment layout makes the next segment's block
-            // address known before this one is processed — software
-            // prefetch it (free hint; the staged load still pays).
-            if gpu_sim::swar::enabled() {
-                if let Some(&(next_block, _)) = order_ref.get(range.end) {
-                    self.table.prefetch(next_block as usize * b);
-                }
-            }
 
             // Stage the block (shared-memory copy, one-or-two line loads).
             let mut img = BlockImage::stage(&self.table, start, b);
@@ -339,42 +300,24 @@ impl BulkTcf {
     }
 
     /// Search one staged block, returning the in-block position of a
-    /// matching fingerprint (used by the value path). Both twins are
-    /// canonicalized to *first-match* (lower-bound) semantics: the old
-    /// early-equal binary search returned an arbitrary duplicate, so the
-    /// value read for a duplicated fingerprint depended on search order
-    /// and could diverge between builds.
+    /// matching fingerprint (used by the value path). The search is a
+    /// lower bound, so a duplicated fingerprint always resolves to its
+    /// first copy and the value read for it does not depend on search
+    /// order.
     fn block_find(&self, block: usize, fp: u64) -> Option<usize> {
         let b = self.cfg.block_slots;
         let start = block * b;
         let view = self.table.load_span(start, b);
         let live = Self::prefix_len(&view, start, b);
-        let pos = if gpu_sim::swar::enabled() {
-            // Bisect to one word-sized window, then one word-level
-            // lower-bound scan resolves the exact lane.
-            let w = view.slots_per_word().max(1);
-            let (mut lo, mut hi) = (0usize, live);
-            while hi - lo > w {
-                let mid = (lo + hi) / 2;
-                if view.get(start + mid) < fp {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
+        let (mut pos, mut hi) = (0usize, live);
+        while pos < hi {
+            let mid = (pos + hi) / 2;
+            if view.get(start + mid) < fp {
+                pos = mid + 1;
+            } else {
+                hi = mid;
             }
-            lo + view.lower_bound_sorted(start + lo, hi - lo, fp)
-        } else {
-            let (mut lo, mut hi) = (0usize, live);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if view.get(start + mid) < fp {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
+        }
         (pos < live && view.get(start + pos) == fp).then_some(pos)
     }
 
@@ -396,11 +339,6 @@ impl BulkTcf {
             let (lo, hi) = (range.start, range.end);
             let block = order_ref[lo].0 as usize;
             let start = block * b;
-            if gpu_sim::swar::enabled() {
-                if let Some(&(next_block, _)) = order_ref.get(range.end) {
-                    self.table.prefetch(next_block as usize * b);
-                }
-            }
             let mut img = BlockImage::stage(&self.table, start, b);
             img.stage_values(self.values.as_ref(), start, b);
             let mut changed = false;
@@ -903,99 +841,6 @@ impl BulkTcf {
         });
     }
 
-    /// Sorted-batch query (§4.2: blocks "can be queried … in linear time
-    /// for a batch of queries"): queries are sorted by primary block so
-    /// each block is staged once and scanned against its whole query
-    /// group with a two-pointer merge, instead of one binary search per
-    /// query. Misses fall back to the secondary block and backing table.
-    pub fn query_batch_sorted(&self, keys: &[u64], out: &mut [bool]) {
-        assert_eq!(keys.len(), out.len());
-        if keys.is_empty() {
-            return;
-        }
-        let b = self.cfg.block_slots;
-
-        // Partition + sort phases: group queries by primary block.
-        let mut order: Vec<(u64, u64)> =
-            self.device.par_map(keys.len(), |i| (self.blocks_of(keys[i]).0 as u64, i as u64));
-        let bounds = self.device.sorted_segments(&mut order);
-
-        let hits: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
-        let order_ref = &order;
-        let hits_ref = &hits;
-
-        self.device.launch_segments(&bounds, |_seg, range| {
-            let (lo, hi) = (range.start, range.end);
-            let block = order_ref[lo].0 as usize;
-            let start = block * b;
-            if gpu_sim::swar::enabled() {
-                if let Some(&(next_block, _)) = order_ref.get(range.end) {
-                    self.table.prefetch(next_block as usize * b);
-                }
-            }
-            let view = self.table.load_span(start, b);
-            let live = Self::prefix_len(&view, start, b);
-
-            // Sort this block's query fingerprints, then merge-scan the
-            // staged sorted prefix in one linear pass.
-            let mut fps: Vec<(u64, u64)> = order_ref[lo..hi]
-                .iter()
-                .map(|&(_, idx)| (self.fp_of(keys[idx as usize]), idx))
-                .collect();
-            fps.sort_unstable();
-            let swar = gpu_sim::swar::enabled();
-            let word = view.slots_per_word().max(1);
-            let mut i = 0usize;
-            for &(fp, idx) in &fps {
-                // Advance the cursor to the first stored slot >= fp: the
-                // scalar twin steps slot by slot; the SWAR twin steps
-                // scalar through short gaps (the common case when the
-                // query group is as dense as the block) and switches to
-                // whole-word skips once the gap exceeds one word.
-                if swar {
-                    let mut stepped = 0;
-                    while i < live && view.get(start + i) < fp {
-                        i += 1;
-                        stepped += 1;
-                        if stepped == word {
-                            i += view.lower_bound_sorted(start + i, live - i, fp);
-                            break;
-                        }
-                    }
-                } else {
-                    while i < live && view.get(start + i) < fp {
-                        i += 1;
-                    }
-                }
-                if i < live && view.get(start + i) == fp {
-                    hits_ref[idx as usize].store(true, Ordering::Relaxed);
-                }
-                // Equal fingerprints in the batch re-test the same slot;
-                // the cursor never moves backwards because fps ascend.
-            }
-        });
-
-        // Fallback pass for misses: secondary block + backing table.
-        let miss: Vec<usize> =
-            (0..keys.len()).filter(|&i| !hits[i].load(Ordering::Relaxed)).collect();
-        let miss_ref = &miss;
-        self.device.launch_point(miss.len(), self.cfg.cg_size, |j| {
-            let i = miss_ref[j];
-            let key = keys[i];
-            let fp = self.fp_of(key);
-            let (_, sb) = self.blocks_of(key);
-            if self.block_search(sb, fp)
-                || (self.cfg.backing_table && self.backing.contains(key, fp))
-            {
-                hits_ref[i].store(true, Ordering::Relaxed);
-            }
-        });
-
-        for (o, h) in out.iter_mut().zip(&hits) {
-            *o = h.load(Ordering::Relaxed);
-        }
-    }
-
     /// Delete a batch of previously inserted keys; returns the count whose
     /// fingerprints were not found.
     pub fn delete_batch(&self, keys: &[u64]) -> usize {
@@ -1241,22 +1086,32 @@ mod tests {
 
     #[test]
     fn prefix_len_twins_match_on_every_block() {
+        // The bisection against a host count of the block's non-EMPTY
+        // slots (a well-formed block is a live prefix, empty suffix).
         let f = BulkTcf::new(1 << 12).unwrap();
         f.insert_batch(&hashed_keys(91, 3200));
         let b = f.cfg.block_slots;
         for blk in 0..f.n_blocks {
             let view = f.table.load_span(blk * b, b);
-            assert_eq!(
-                BulkTcf::prefix_len_scalar(&view, blk * b, b),
-                BulkTcf::prefix_len_swar(&view, blk * b, b),
-                "block {blk}"
-            );
+            let host = (0..b).filter(|&i| f.table.read_free(blk * b + i) != EMPTY).count();
+            assert_eq!(BulkTcf::prefix_len(&view, blk * b, b), host, "block {blk}");
+        }
+        // Every prefix length from an empty to a full block, written
+        // into block 1 so the span does not start at slot 0.
+        let g = BulkTcf::new(1 << 10).unwrap();
+        for live in 0..=b {
+            for i in 0..b {
+                g.table.write_free(b + i, if i < live { 2 + i as u64 } else { EMPTY });
+            }
+            let view = g.table.load_span(b, b);
+            assert_eq!(BulkTcf::prefix_len(&view, b, b), live, "live {live}");
         }
     }
 
-    /// Satellite: `query_batch_sorted` must agree with `query_batch` on
-    /// batches containing duplicate keys and keys whose fingerprints sit
-    /// at segment boundaries (the first and last live slot of a block).
+    /// `query_batch` on batches containing duplicate keys and keys whose
+    /// fingerprints sit at the first or last live slot of their block
+    /// (the edges of the binary search): every resident probe answers
+    /// true, and duplicate probes answer identically.
     #[test]
     fn sorted_query_matches_point_query_with_duplicates_and_boundary_keys() {
         let f = BulkTcf::new(1 << 12).unwrap();
@@ -1264,7 +1119,7 @@ mod tests {
         assert_eq!(f.insert_batch(&keys), 0);
 
         // Keys resident in the first or last live slot of their primary
-        // block — the merge-scan cursor's edge positions.
+        // block — the binary search's edge positions.
         let b = f.cfg.block_slots;
         let mut boundary = Vec::new();
         for &k in &keys {
@@ -1287,8 +1142,8 @@ mod tests {
         let mut probes = Vec::new();
         probes.extend_from_slice(&keys[..600]);
         probes.extend_from_slice(&absent);
-        // Duplicates of present, absent, and boundary keys, interleaved
-        // so sorted grouping has same-key runs inside one segment.
+        // Duplicates of present, absent, and boundary keys, repeated
+        // back to back and across the batch.
         probes.extend_from_slice(&keys[..100]);
         probes.extend_from_slice(&keys[..100]);
         probes.extend_from_slice(&absent[..50]);
@@ -1296,13 +1151,13 @@ mod tests {
             probes.extend_from_slice(&[k, k, k]);
         }
 
-        let mut point = vec![false; probes.len()];
-        let mut sorted = vec![true; probes.len()];
-        f.query_batch(&probes, &mut point);
-        f.query_batch_sorted(&probes, &mut sorted);
-        assert_eq!(point, sorted, "sorted query diverged from point query");
-        // Sanity: every inserted probe hits.
-        assert!(probes.iter().zip(&point).all(|(k, &h)| h || !keys.contains(k)));
+        let mut out = vec![false; probes.len()];
+        f.query_batch(&probes, &mut out);
+        let mut first = std::collections::HashMap::new();
+        for (&k, &hit) in probes.iter().zip(&out) {
+            assert!(hit || !keys.contains(&k), "resident probe {k:#x} answered false");
+            assert_eq!(*first.entry(k).or_insert(hit), hit, "duplicate probe {k:#x} diverged");
+        }
     }
 
     /// Satellite: duplicate fingerprints must resolve to the *first*
@@ -1626,56 +1481,9 @@ mod tests {
             self.occupied.load(Ordering::Relaxed)
         }
     }
-}
-
-#[cfg(test)]
-mod sorted_query_tests {
-    use super::*;
-    use filter_core::hashed_keys;
 
     #[test]
-    fn sorted_query_matches_pointwise_query() {
-        let f = BulkTcf::new(1 << 12).unwrap();
-        let keys = hashed_keys(61, 3000);
-        f.insert_batch(&keys);
-        let probes: Vec<u64> = keys.iter().copied().chain(hashed_keys(62, 3000)).collect();
-        let mut a = vec![false; probes.len()];
-        let mut b = vec![false; probes.len()];
-        f.query_batch(&probes, &mut a);
-        f.query_batch_sorted(&probes, &mut b);
-        assert_eq!(a, b, "sorted and pointwise bulk queries must agree");
-    }
-
-    #[test]
-    fn sorted_query_finds_all_members() {
-        let f = BulkTcf::new(1 << 12).unwrap();
-        let keys = hashed_keys(63, (f.slots() as f64 * 0.85) as usize);
-        f.insert_batch(&keys);
-        let mut out = vec![false; keys.len()];
-        f.query_batch_sorted(&keys, &mut out);
-        assert!(out.iter().all(|&x| x));
-    }
-
-    #[test]
-    fn sorted_query_handles_duplicate_probes() {
-        let f = BulkTcf::new(1 << 10).unwrap();
-        let k = hashed_keys(64, 1)[0];
-        f.insert_batch(&[k]);
-        let probes = vec![k, k, k, k ^ 1, k];
-        let mut out = vec![false; probes.len()];
-        f.query_batch_sorted(&probes, &mut out);
-        assert_eq!(out, vec![true, true, true, false, true]);
-    }
-
-    #[test]
-    fn sorted_query_empty_batch() {
-        let f = BulkTcf::new(1 << 10).unwrap();
-        let mut out = vec![];
-        f.query_batch_sorted(&[], &mut out);
-    }
-
-    #[test]
-    fn bulk_values_roundtrip() {
+    fn valued_batch_roundtrip() {
         let f = BulkTcf::new(1 << 14).unwrap().with_values(16).unwrap();
         let keys = hashed_keys(65, 8000);
         let pairs: Vec<(u64, u64)> =
