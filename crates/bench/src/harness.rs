@@ -1,5 +1,4 @@
-//! The unified measurement subsystem: every figure/table binary (and,
-//! through the same statistics code, every criterion-shim bench) measures
+//! The unified measurement subsystem: every figure/table binary measures
 //! the same way and records the result in one machine-readable schema.
 //!
 //! The layer has three pieces:
@@ -7,9 +6,9 @@
 //! * **Measurement loop** — [`measure_point`] / [`measure_bulk`] run a
 //!   kernel `warmup + repeats` times (a fresh state per repeat via the
 //!   `setup` closure, so mutating operations like inserts are re-measured
-//!   from a clean filter) and aggregate the per-repeat wall times with the
-//!   vendored criterion shim's [`stats`] module — median, p10, p90 — the
-//!   same aggregation `benches/*.rs` report.
+//!   from a clean filter) and aggregate the per-repeat wall times with
+//!   filter-core's [`stats`] module — median, p10, p90 — the same
+//!   aggregation the `filter-net` client fleet reports its latencies with.
 //! * **[`Measurement`]** — one row: label, filter kind, op, size, items,
 //!   repeat statistics for seconds and items/sec, the device cost model's
 //!   modeled throughput, and an echo of the [`FilterSpec`] that built the
@@ -23,7 +22,7 @@
 //! Every binary accepts `--smoke` (small n, 1 repeat, no warmup), which CI
 //! runs on every PR so a broken bench binary fails fast.
 
-pub use criterion::stats::{self, SampleStats};
+pub use filter_core::stats::{self, SampleStats};
 use filter_core::{DeviceModel, FilterSpec, GrowthPolicy, Parallelism};
 use gpu_sim::cost::estimate;
 use gpu_sim::metrics::{self, Counters};

@@ -1,7 +1,6 @@
 //! # bench — the paper's evaluation harness
 //!
-//! One binary per table/figure regenerates the corresponding result (see
-//! DESIGN.md §4 for the experiment index):
+//! One binary per table/figure regenerates the corresponding result:
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -17,11 +16,12 @@
 //! | `ablations`      | §4.1/§6.8 design-choice ablations |
 //! | `service_throughput` | serving-layer point-vs-bulk comparison |
 //! | `fig_net`        | network tier: tail latency vs offered load |
+//! | `fig_growth`     | capacity lifecycle: growth, scale-out/in, ring movement |
+//! | `fig_skew`       | skew-aware serving fast path under Zipf queries |
 //!
 //! Every binary measures through the [`harness`]: `warmup + repeats`
-//! executions per row, median/p10/p90 wall statistics (the same
-//! aggregation the vendored criterion shim reports for `benches/*`), plus
-//! the device cost model's **modeled** throughput — the numbers comparable
+//! executions per row, median/p10/p90 wall statistics, plus the device
+//! cost model's **modeled** throughput — the numbers comparable
 //! to the paper's figures. Each figure's rows land in
 //! `experiments/BENCH_<figure>.json` on the schema described in this
 //! crate's README; binaries accept `--sizes a,b,c` (log2 slot counts),

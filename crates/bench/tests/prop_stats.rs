@@ -1,8 +1,10 @@
 //! Property tests for the harness's repeat-statistics aggregation
-//! (median / percentile / items-per-sec), which the trajectory schema and
-//! the criterion shim both depend on. Uses the vendored proptest shim.
+//! (median / percentile / items-per-sec, re-exported from filter-core's
+//! `stats` module), which the trajectory schema and the `filter-net`
+//! fleet's latency quantiles both depend on. Uses the vendored proptest
+//! shim.
 
-use bench::stats::{items_per_sec, median, percentile, SampleStats};
+use bench::stats::{items_per_sec, median, percentile, percentile_sorted, SampleStats};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -84,6 +86,14 @@ proptest! {
         prop_assert!(close(a.median, b.median), "median {} vs {}", a.median, b.median);
         prop_assert!(close(a.p10, b.p10));
         prop_assert!(close(a.p90, b.p90));
+    }
+
+    /// On ascending input, the sort-free quantile agrees with the sorting
+    /// one at every q (callers sort once and ask several quantiles).
+    #[test]
+    fn percentile_sorted_matches_percentile(mut xs in samples(), q in -0.5f64..1.5) {
+        xs.sort_by(f64::total_cmp);
+        prop_assert_eq!(percentile_sorted(&xs, q), percentile(&xs, q));
     }
 
     /// items_per_sec inverts: faster (smaller secs) means higher rate,

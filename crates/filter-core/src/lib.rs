@@ -3,7 +3,8 @@
 //! Shared foundation for the GPU-model filter family reproduced from
 //! *High-Performance Filters for GPUs* (PPoPP '23): common traits, error
 //! types, hash families, the cuRAND-compatible XORWOW generator used by the
-//! paper's microbenchmarks, and fingerprint arithmetic helpers.
+//! paper's microbenchmarks, fingerprint arithmetic helpers, and the
+//! repeat-sample [`stats`] every benchmark and fleet report aggregates with.
 //!
 //! Every concrete filter (TCF, GQF, Bloom, blocked Bloom, SQF, RSQF, cuckoo,
 //! and the CPU comparison filters) implements the traits defined here so the
@@ -33,6 +34,7 @@ pub mod growth;
 pub mod hash;
 pub mod outcome;
 pub mod spec;
+pub mod stats;
 pub mod traits;
 pub mod wire;
 pub mod xorwow;

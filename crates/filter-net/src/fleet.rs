@@ -15,6 +15,7 @@
 use crate::codec::{Request, MAX_KEYS};
 use crate::conn::FramedConn;
 use crate::poll::{Interest, Poller};
+use filter_core::stats;
 use filter_core::wire::{OpKind, RespStatus};
 use filter_core::{hash64_seeded, Xorwow};
 use workloads::{open_loop_arrivals, BurstProfile, ZipfSampler};
@@ -100,8 +101,8 @@ impl FleetReport {
             return Duration::ZERO;
         }
         let mut sorted = self.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Duration::from_secs_f64(criterion::stats::percentile(&sorted, q))
+        sorted.sort_by(f64::total_cmp);
+        Duration::from_secs_f64(stats::percentile_sorted(&sorted, q))
     }
 
     /// Median latency.
@@ -319,4 +320,45 @@ pub fn run_fleet(cfg: &FleetConfig) -> io::Result<FleetReport> {
         wall,
         latencies,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(latencies: Vec<f64>) -> FleetReport {
+        FleetReport {
+            offered: latencies.len(),
+            sent: latencies.len(),
+            ok: latencies.len(),
+            shed: 0,
+            errors: 0,
+            unanswered: 0,
+            wall: Duration::from_secs(1),
+            latencies,
+        }
+    }
+
+    #[test]
+    fn empty_report_has_zero_quantiles() {
+        let r = report(Vec::new());
+        assert_eq!((r.p50(), r.p99(), r.p999()), (Duration::ZERO, Duration::ZERO, Duration::ZERO));
+    }
+
+    #[test]
+    fn one_sample_answers_every_quantile() {
+        let r = report(vec![0.25]);
+        let want = Duration::from_secs_f64(0.25);
+        assert_eq!((r.p50(), r.p99(), r.p999()), (want, want, want));
+    }
+
+    #[test]
+    fn quantiles_match_the_shared_percentile() {
+        // 100 distinct latencies (1..=100 ms) in a scrambled order.
+        let lat: Vec<f64> = (0..100u64).map(|i| ((i * 37) % 100 + 1) as f64 * 1e-3).collect();
+        let r = report(lat.clone());
+        for (got, q) in [(r.p50(), 0.50), (r.p99(), 0.99), (r.p999(), 0.999)] {
+            assert_eq!(got, Duration::from_secs_f64(stats::percentile(&lat, q)), "q = {q}");
+        }
+    }
 }

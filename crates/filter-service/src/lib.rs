@@ -108,10 +108,7 @@
 //! a set of arcs on a 64-bit ring, marked by [`DEFAULT_VNODES`] virtual
 //! nodes whose per-shard counts are balance-corrected against the ring's
 //! exact arc measure (worst shard within a few percent of uniform).
-//! Tune the vnode count with [`ShardedFilterBuilder::ring_vnodes`], or
-//! skew ownership toward bigger shards with
-//! [`ShardedFilterBuilder::shard_weights`]. Because arc ownership — not
-//! a modular range — defines a shard,
+//! Because arc ownership — not a modular range — defines a shard,
 //! [`ShardedFilter::set_shards`] supports **any** live resize sequence,
 //! scale-out and scale-in alike, re-routing only ~`k/n` of the key space
 //! on an `n → n ± k` resize. On a scale-in the decommissioned shards

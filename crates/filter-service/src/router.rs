@@ -15,23 +15,22 @@
 //! actually change hands — ~`k/n` of the key space — which is what makes
 //! live scale-*in* as cheap as scale-out
 //! ([`ShardedFilter::set_shards`](crate::ShardedFilter::set_shards)).
-//! Per-shard weights support heterogeneous capacity.
 //!
 //! Raw iid vnode points leave ~`1/√V` relative imbalance (≈ 9 % at
 //! V = 128, with worst-of-n excursions past 20 %), so [`RingRouter`]
 //! applies a deterministic *balance correction*: per-shard vnode counts
 //! are iterated against the ring's exact arc measure until every shard's
-//! share sits within a couple of percent of its weight target. Each
-//! shard's points remain a prefix of one deterministic per-shard
-//! sequence, so the correction only nudges a handful of tiny arcs and
-//! the ~`1/n` movement bound survives.
+//! share sits within a couple of percent of `1/n`. Each shard's points
+//! remain a prefix of one deterministic per-shard sequence, so the
+//! correction only nudges a handful of tiny arcs and the ~`1/n`
+//! movement bound survives.
 
 use filter_core::hash::splitmix64;
 
-/// Default router seed; distinct from every filter-internal hash seed.
+/// Router seed; distinct from every filter-internal hash seed.
 pub const ROUTER_SEED: u64 = 0x5e47_1ce5_0f11_7e25;
 
-/// Default virtual nodes per (unit-weight) shard.
+/// Virtual nodes per shard before the balance correction.
 pub const DEFAULT_VNODES: u32 = 128;
 
 /// Salt separating per-shard point sequences (vnode base derivation).
@@ -54,76 +53,29 @@ const BALANCE_ROUNDS: u32 = 24;
 /// `splitmix64(base_i ^ v·SALT)`, independent of the total shard count —
 /// so adding or removing shards re-owns only the arcs adjacent to the
 /// points that appear or vanish, ~`k/n` of the ring for an `n → n ± k`
-/// resize. Per-shard vnode counts start at `round(vnodes × n × wᵢ/Σw)`
-/// and are balance-corrected against the ring's exact arc measure (see
-/// the [module docs](self)), holding every shard within a few percent of
-/// its weight target at the default 128 vnodes.
+/// resize. Per-shard vnode counts start at [`DEFAULT_VNODES`] and are
+/// balance-corrected against the ring's exact arc measure (see the
+/// [module docs](self)), holding every shard within a few percent of
+/// `1/n`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingRouter {
     shards: usize,
-    seed: u64,
-    vnodes: u32,
-    /// Normalized weight targets (fractions of the ring, summing to 1).
-    targets: Vec<f64>,
-    /// Balance-corrected vnode count per shard.
-    vnode_counts: Vec<u32>,
     /// Sorted `(point, shard)` pairs; ties break toward the lower shard.
     points: Vec<(u64, u32)>,
 }
 
 impl RingRouter {
-    /// Ring over `shards` equal-weight shards, default seed and vnodes.
-    /// A shard count of zero is clamped to one.
+    /// Ring over `shards` shards, each targeting `1/shards` of the key
+    /// space. A shard count of zero is clamped to one.
     pub fn new(shards: usize) -> Self {
-        Self::with_seed(shards, ROUTER_SEED)
-    }
-
-    /// Ring with an explicit seed, default vnodes, equal weights.
-    pub fn with_seed(shards: usize, seed: u64) -> Self {
-        Self::with_config(shards, seed, DEFAULT_VNODES, None)
-    }
-
-    /// Fully-specified ring. `vnodes` is the per-unit-weight point budget
-    /// (zero is clamped to one). `weights`, when given, sets each shard's
-    /// share of the key space proportional to its entry — for shards on
-    /// heterogeneous capacity; entries are padded with `1.0` / sanitized
-    /// to be finite and positive, so the constructor is total.
-    pub fn with_config(shards: usize, seed: u64, vnodes: u32, weights: Option<&[f64]>) -> Self {
         let shards = shards.max(1);
-        let vnodes = vnodes.max(1);
-        let mut w = vec![1.0f64; shards];
-        if let Some(weights) = weights {
-            for (slot, &given) in w.iter_mut().zip(weights) {
-                if given.is_finite() && given > 0.0 {
-                    *slot = given;
-                }
-            }
-        }
-        let sum: f64 = w.iter().sum();
-        let targets: Vec<f64> = w.iter().map(|x| x / sum).collect();
-        let vnode_counts = corrected_counts(seed, vnodes, &targets);
-        let points = build_points(seed, &vnode_counts);
-        RingRouter { shards, seed, vnodes, targets, vnode_counts, points }
+        let points = build_points(&corrected_counts(shards));
+        RingRouter { shards, points }
     }
 
     /// Number of shards routed over.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The seed the key hash and every vnode point derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Per-unit-weight vnode budget this ring was built with.
-    pub fn vnodes(&self) -> u32 {
-        self.vnodes
-    }
-
-    /// Balance-corrected vnode count per shard.
-    pub fn vnode_counts(&self) -> &[u32] {
-        &self.vnode_counts
     }
 
     /// Owner of ring position `h`: the shard of the first point at or
@@ -138,7 +90,7 @@ impl RingRouter {
     /// Shard index for `key`, in `0..shards()`.
     #[inline]
     pub fn route(&self, key: u64) -> usize {
-        self.route_hash(splitmix64(key ^ self.seed))
+        self.route_hash(splitmix64(key ^ ROUTER_SEED))
     }
 
     /// Split `keys` into per-shard key vectors, remembering each key's
@@ -164,14 +116,9 @@ impl RingRouter {
 
     /// Exact fraction of the ring each shard owns (sums to 1). This is
     /// the asymptotic load share under a uniform key hash — what the
-    /// balance correction drives toward the weight targets.
+    /// balance correction drives toward `1/n`.
     pub fn arc_shares(&self) -> Vec<f64> {
         arc_shares_of(&self.points, self.shards)
-    }
-
-    /// Normalized weight target per shard (uniform rings: `1/n` each).
-    pub fn targets(&self) -> &[f64] {
-        &self.targets
     }
 
     /// Per new shard: the sorted set of `old` shards whose arcs it owns
@@ -206,20 +153,20 @@ impl RingRouter {
 }
 
 /// The `v`-th point of shard `shard`'s deterministic sequence. Depends
-/// only on (seed, shard, v) — never on the total shard count.
+/// only on (shard, v) — never on the total shard count.
 #[inline]
-fn vnode_point(seed: u64, shard: usize, v: u32) -> u64 {
-    let base = splitmix64(seed ^ (shard as u64).wrapping_mul(SHARD_SALT));
+fn vnode_point(shard: usize, v: u32) -> u64 {
+    let base = splitmix64(ROUTER_SEED ^ (shard as u64).wrapping_mul(SHARD_SALT));
     splitmix64(base ^ u64::from(v).wrapping_mul(VNODE_SALT))
 }
 
 /// Sorted ring points for the given per-shard vnode counts.
-fn build_points(seed: u64, vnode_counts: &[u32]) -> Vec<(u64, u32)> {
+fn build_points(vnode_counts: &[u32]) -> Vec<(u64, u32)> {
     let total: usize = vnode_counts.iter().map(|&c| c as usize).sum();
     let mut points = Vec::with_capacity(total);
     for (shard, &count) in vnode_counts.iter().enumerate() {
         for v in 0..count {
-            points.push((vnode_point(seed, shard, v), shard as u32));
+            points.push((vnode_point(shard, v), shard as u32));
         }
     }
     points.sort_unstable();
@@ -244,30 +191,26 @@ fn arc_shares_of(points: &[(u64, u32)], shards: usize) -> Vec<f64> {
     measure.into_iter().map(|m| m as f64 / total).collect()
 }
 
-/// Balance-corrected per-shard vnode counts: iterate the exact arc
-/// shares against the weight targets, nudging each shard's count by the
-/// measured error in whole-vnode units (clamped to ±3 per round so the
-/// fixed point cannot oscillate wildly), and keep the best assignment
-/// seen. Deterministic in (seed, vnodes, targets).
-fn corrected_counts(seed: u64, vnodes: u32, targets: &[f64]) -> Vec<u32> {
-    let n = targets.len();
-    let mut counts: Vec<u32> = targets
-        .iter()
-        .map(|&t| ((f64::from(vnodes) * t * n as f64).round() as u32).max(1))
-        .collect();
+/// Balance-corrected per-shard vnode counts for `n` shards: iterate the
+/// exact arc shares against the `1/n` target, nudging each shard's count
+/// by the measured error in whole-vnode units (clamped to ±3 per round so
+/// the fixed point cannot oscillate wildly), and keep the best assignment
+/// seen. Deterministic in `n`.
+fn corrected_counts(n: usize) -> Vec<u32> {
+    let target = 1.0 / n as f64;
+    let mut counts = vec![DEFAULT_VNODES; n];
     let mut best = (f64::MAX, counts.clone());
     for _ in 0..BALANCE_ROUNDS {
-        let points = build_points(seed, &counts);
+        let points = build_points(&counts);
         let shares = arc_shares_of(&points, n);
-        let worst =
-            shares.iter().zip(targets).map(|(s, t)| (s / t - 1.0).abs()).fold(0.0f64, f64::max);
+        let worst = shares.iter().map(|s| (s / target - 1.0).abs()).fold(0.0f64, f64::max);
         if worst < best.0 {
             best = (worst, counts.clone());
         }
         let total: i64 = counts.iter().map(|&c| i64::from(c)).sum();
         let mut changed = false;
         for i in 0..n {
-            let delta = ((shares[i] - targets[i]) * total as f64).round() as i64;
+            let delta = ((shares[i] - target) * total as f64).round() as i64;
             let next = (i64::from(counts[i]) - delta.clamp(-3, 3)).max(1) as u32;
             if next != counts[i] {
                 counts[i] = next;
@@ -284,31 +227,6 @@ fn corrected_counts(seed: u64, vnodes: u32, targets: &[f64]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn routing_is_in_range_and_deterministic() {
-        // Non-default seeds and vnode budgets: the route stays a pure
-        // function of the ring's configuration.
-        for (shards, seed, vnodes) in [(1usize, 7u64, 1u32), (3, 8, 16), (8, 9, 300), (17, 10, 64)]
-        {
-            let r = RingRouter::with_config(shards, seed, vnodes, None);
-            let again = RingRouter::with_config(shards, seed, vnodes, None);
-            for key in 0..10_000u64 {
-                let s = r.route(key);
-                assert!(s < shards);
-                assert_eq!(s, again.route(key), "instance-dependent routing");
-            }
-        }
-    }
-
-    #[test]
-    fn seeds_decorrelate_routes() {
-        let a = RingRouter::with_seed(8, 1);
-        let b = RingRouter::with_seed(8, 2);
-        let agree = (0..10_000u64).filter(|&k| a.route(k) == b.route(k)).count();
-        // Independent routers agree ~1/8 of the time.
-        assert!(agree < 2000, "routers too correlated: {agree}");
-    }
 
     #[test]
     fn partition_scatters_and_preserves_positions() {
@@ -359,22 +277,6 @@ mod tests {
                 assert!(dev < 0.10, "shard {s}/{shards} arc share off by {:.1}%", dev * 100.0);
             }
         }
-    }
-
-    #[test]
-    fn ring_weights_skew_the_shares() {
-        let r = RingRouter::with_config(3, ROUTER_SEED, DEFAULT_VNODES, Some(&[1.0, 2.0, 1.0]));
-        let shares = r.arc_shares();
-        for (share, target) in shares.iter().zip([0.25, 0.5, 0.25]) {
-            assert!(
-                (share / target - 1.0).abs() < 0.10,
-                "weighted shares {shares:?} missed targets"
-            );
-        }
-        // Garbage weights sanitize to 1.0 instead of panicking.
-        let r = RingRouter::with_config(2, ROUTER_SEED, 64, Some(&[f64::NAN, -3.0]));
-        let shares = r.arc_shares();
-        assert!((shares[0] - 0.5).abs() < 0.05, "sanitized weights stay uniform: {shares:?}");
     }
 
     #[test]

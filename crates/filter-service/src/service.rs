@@ -48,7 +48,7 @@
 
 use crate::cache::QueryCache;
 use crate::handle::{RouteState, ServiceControl, ServiceHandle};
-use crate::router::{RingRouter, DEFAULT_VNODES, ROUTER_SEED};
+use crate::router::RingRouter;
 use crate::stats::{ServiceStats, StatsInner};
 use crate::worker::{DeleteHooks, MaintainHooks, Task, WorkerConfig, MAX_GROWS_PER_FLUSH};
 use filter_core::{
@@ -72,9 +72,6 @@ pub struct ShardedFilterBuilder {
     batch_capacity: usize,
     linger: Duration,
     queue_tasks: usize,
-    seed: u64,
-    vnodes: u32,
-    weights: Option<Vec<f64>>,
     parallelism: Parallelism,
     growth: GrowthPolicy,
     coalesce: bool,
@@ -88,9 +85,6 @@ impl Default for ShardedFilterBuilder {
             batch_capacity: 4096,
             linger: Duration::from_micros(200),
             queue_tasks: 1024,
-            seed: ROUTER_SEED,
-            vnodes: DEFAULT_VNODES,
-            weights: None,
             parallelism: Parallelism::Auto,
             growth: GrowthPolicy::Fixed,
             coalesce: true,
@@ -133,36 +127,6 @@ impl ShardedFilterBuilder {
     pub fn queue_depth(mut self, tasks: usize) -> Self {
         self.queue_tasks = tasks.max(1);
         self
-    }
-
-    /// Override the router seed (see [`RingRouter::with_seed`]).
-    pub fn router_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Virtual nodes per unit-weight shard on the consistent-hash ring
-    /// (default 128; zero clamps to one). More vnodes tighten balance
-    /// (the residual imbalance after correction is ~one vnode arc) at the
-    /// cost of a larger binary-search table.
-    pub fn ring_vnodes(mut self, vnodes: u32) -> Self {
-        self.vnodes = vnodes.max(1);
-        self
-    }
-
-    /// Per-shard ring weights for heterogeneous capacity: shard `i`
-    /// serves a key-space share proportional to `weights[i]`. Entries
-    /// beyond the live shard count are ignored; missing, non-finite, or
-    /// non-positive entries default to `1.0`. A resize keeps applying the
-    /// same weight vector to however many shards then exist.
-    pub fn shard_weights(mut self, weights: Vec<f64>) -> Self {
-        self.weights = Some(weights);
-        self
-    }
-
-    /// The router this configuration produces for `shards` live shards.
-    fn make_router(&self, shards: usize) -> RingRouter {
-        RingRouter::with_config(shards, self.seed, self.vnodes, self.weights.as_deref())
     }
 
     /// Service-wide host-parallelism budget for the backends' bulk phases
@@ -308,7 +272,7 @@ impl ShardedFilterBuilder {
         }
         let (senders, workers) =
             spawn_workers(&backends, &stats, &self, &linger_ns, delete_fn, maintain, 0)?;
-        let router = self.make_router(shards);
+        let router = RingRouter::new(shards);
         Ok(ShardedFilter {
             backends,
             ring: Arc::new(RwLock::new(RouteState { senders, router })),
@@ -513,7 +477,7 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
         for j in 0..new_shards {
             new_backends.push(Arc::new(RwLock::new(make(j)?)));
         }
-        let new_router = self.cfg.make_router(new_shards);
+        let new_router = RingRouter::new(new_shards);
 
         // Pause intake: handles block acquiring the read side; workers
         // never take this lock, so their queues keep draining. (The Arc

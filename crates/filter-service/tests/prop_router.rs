@@ -40,8 +40,8 @@ proptest! {
         prop_assert!(seen.iter().all(|&x| x));
     }
 
-    /// Ring routing is a pure function of (key, shard count, seed, vnode
-    /// count): independently constructed rings always agree.
+    /// Ring routing is a pure function of (key, shard count):
+    /// independently constructed rings always agree.
     #[test]
     fn ring_routing_is_deterministic(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
         let a = RingRouter::new(shards);

@@ -46,14 +46,6 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Measured CPU-side throughput (items / wall second).
-    pub fn wall_throughput(&self) -> f64 {
-        if self.wall.is_zero() {
-            return f64::INFINITY;
-        }
-        self.items as f64 / self.wall.as_secs_f64()
-    }
-
     /// Merge two launches (e.g. the GQF's even phase + odd phase).
     pub fn merge(&self, other: &KernelStats) -> KernelStats {
         KernelStats {
@@ -402,14 +394,5 @@ mod tests {
                 let _ = buf.read(5);
             }
         });
-    }
-
-    #[test]
-    fn wall_throughput_positive() {
-        let dev = Device::cori();
-        let stats = dev.launch_point(1000, 1, |_| {
-            std::hint::black_box(0u64);
-        });
-        assert!(stats.wall_throughput() > 0.0);
     }
 }
